@@ -29,7 +29,7 @@ func main() {
 	testsPath := flag.String("tests", "", "scan test set file (internal/scan text format)")
 	seqPath := flag.String("seq", "", "raw PI sequence file (applied without scan from all-X)")
 	workers := flag.Int("workers", 0, "worker goroutines per simulation run (0 = NumCPU, 1 = serial)")
-	batchWords := flag.Int("batchwords", 0, "kernel batch width in 64-slot words (0 = default, 1 = interpreter engine)")
+	batchWords := flag.Int("batchwords", 0, "maximum kernel batch width in 64-slot words; smaller passes run narrower (0 = default)")
 	order := flag.String("order", "adi", "fault simulation order: adi (accidental-detection index) or none (results are identical)")
 	collapse := flag.Bool("collapse", true, "target the structurally collapsed fault list instead of the full universe")
 	verbose := flag.Bool("v", false, "list undetected faults")

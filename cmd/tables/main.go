@@ -41,7 +41,7 @@ func main() {
 	pow := flag.Bool("power", false, "also print the test-power extension table")
 	nodyn := flag.Bool("nodyn", false, "skip the [2,3] dynamic baseline")
 	workers := flag.Int("workers", 1, "worker goroutines per fault-simulation run (0 = NumCPU; -p already parallelizes across circuits)")
-	batchWords := flag.Int("batchwords", 0, "kernel batch width in 64-slot words (0 = default, 1 = interpreter engine)")
+	batchWords := flag.Int("batchwords", 0, "maximum kernel batch width in 64-slot words; smaller passes run narrower (0 = default)")
 	order := flag.String("order", "adi", "fault simulation order: adi (accidental-detection index) or none (tables are identical)")
 	collapse := flag.Bool("collapse", true, "target the structurally collapsed fault list instead of the full universe")
 	check := flag.Bool("check", false, "audit every run against the scalar reference simulator (sampled; slower)")

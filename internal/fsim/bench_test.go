@@ -103,9 +103,8 @@ func benchKernelSetup(b *testing.B, name string) (*Simulator, logic.Sequence, lo
 	return s, seq, si
 }
 
-// BenchmarkKernelWidths compares the interpreter engine (words=1)
-// against the compiled kernel at growing batch widths on a scan-test
-// grading run — the inner loop that dominates the Table 3 pipeline.
+// BenchmarkKernelWidths compares the compiled kernel at growing batch
+// widths, from one-word passes (words=1) up, on a scan-test grading run — the inner loop that dominates the Table 3 pipeline.
 // Throughput is reported as fault-vector evaluations per second.
 func BenchmarkKernelWidths(b *testing.B) {
 	for _, name := range []string{"s1423", "s35932xl"} {

@@ -6,15 +6,14 @@
 // tracecache.go), slot 0 is freed for one more faulty machine and the
 // good values come from the cache instead.
 //
-// Two engines execute passes. Large runs use the compiled batch kernel
-// (sim.BatchEngine): the circuit is lowered once into a straight-line
-// program of dual-rail word ops and executed over W-word batches, so one
-// pass carries up to 64*W-1 faulty machines (SetBatchWords; default 4
-// words = 255 faults per pass). Runs whose target set fits a single
-// 64-slot word fall back to the interpreter engine (sim.Engine), and
-// SetBatchWords(1) forces the interpreter everywhere. Detection results
-// are bit-identical for every width — the differential tests in package
-// oracle and kernel_test.go assert this.
+// Every pass runs on the compiled batch kernel (sim.BatchEngine): the
+// circuit is lowered once into a straight-line program of dual-rail word
+// ops and executed over W-word batches, so one pass carries up to
+// 64*W-1 faulty machines (SetBatchWords; default 4 words = 255 faults
+// per pass). The width adapts to the target count, down to one word for
+// target sets of 63 faults or fewer. Detection results are bit-identical
+// for every width — the differential tests in package oracle and
+// kernel_diff_test.go assert this against the independent reference.
 //
 // Detection criteria follow standard practice: a fault is detected when a
 // primary output carries definite, differing values in the good and
@@ -30,6 +29,7 @@ package fsim
 import (
 	"math/bits"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -39,10 +39,6 @@ import (
 	"repro/internal/scan"
 	"repro/internal/sim"
 )
-
-// batchSize is the number of faulty machines per interpreter pass when
-// slot 0 carries the good machine.
-const batchSize = 63
 
 // defaultBatchWords is the default kernel batch width: 4 words = 256
 // slots = 255 faulty machines per pass (256 with a cached good trace).
@@ -75,7 +71,7 @@ type Simulator struct {
 	mu         sync.Mutex
 	workers    int          // max concurrent passes per run
 	idle       []*worker    // checked-in workers
-	batchWords int          // kernel batch width in words; 1 = interpreter
+	batchWords int          // maximum kernel batch width in words
 	order      []int        // pass-packing permutation over fault indices; nil = ascending
 	prog       *sim.Program // lazily compiled batch program
 
@@ -127,36 +123,20 @@ func (s *Simulator) ResetStats() {
 }
 
 // worker owns the per-goroutine simulation state of one pool member.
-// Both engines are created lazily: a worker that only ever runs kernel
-// passes never allocates an interpreter engine and vice versa.
+// Its batch engine is created lazily on the first pass.
 type worker struct {
 	s       *Simulator
-	eng     *sim.Engine
 	beng    *sim.BatchEngine
-	injBuf  []sim.Injection
 	binjBuf []sim.BatchInjection
 	maskBuf []uint64 // per-fault kernel injection masks
 	vecBuf  []uint64 // batch/detected/diff/potential mask scratch
-}
-
-// engine returns the worker's interpreter engine, creating it on first
-// use.
-func (wk *worker) engine() *sim.Engine {
-	if wk.eng == nil {
-		wk.eng = sim.New(wk.s.c)
-	}
-	return wk.eng
 }
 
 // kernel returns the worker's batch engine at the given width, creating
 // or re-arming it as needed.
 func (wk *worker) kernel(width int) *sim.BatchEngine {
 	if wk.beng == nil || wk.beng.Cap() < width {
-		c := wk.s.BatchWords()
-		if c < width {
-			c = width
-		}
-		wk.beng = sim.NewBatch(wk.s.program(), c)
+		wk.beng = sim.NewBatch(wk.s.program(), max(width, wk.s.BatchWords()))
 	}
 	if wk.beng.Width() != width {
 		wk.beng.SetWidth(width)
@@ -206,10 +186,10 @@ func (s *Simulator) SetWorkers(n int) *Simulator {
 // SetBatchWords sets the kernel batch width in words: each kernel pass
 // carries 64*n slots (64*n - 1 faulty machines, one more with a cached
 // good trace). n <= 0 restores the default; n is capped at a small
-// compile-time maximum. SetBatchWords(1) disables the compiled kernel
-// and runs every pass on the interpreter engine. Detection results are
-// bit-identical at every width — this is purely a performance lever. It
-// returns s so the call chains onto New.
+// compile-time maximum. Passes over fewer targets use narrower widths;
+// SetBatchWords(1) makes every pass a one-word kernel pass. Detection
+// results are bit-identical at every width — this is purely a
+// performance lever. It returns s so the call chains onto New.
 func (s *Simulator) SetBatchWords(n int) *Simulator {
 	if n <= 0 {
 		n = defaultBatchWords
@@ -282,21 +262,9 @@ func (s *Simulator) program() *sim.Program {
 
 // effWidth picks the batch width (in words) for a run over ntargets
 // faults: wide enough for the targets plus the good-machine slot, but
-// never wider than configured, and width 1 — a target set that fits one
-// word — always takes the interpreter path.
+// never wider than configured.
 func (s *Simulator) effWidth(ntargets int) int {
-	bw := s.BatchWords()
-	if bw <= 1 {
-		return 1
-	}
-	need := (ntargets + 64) / 64 // +1 slot for the good machine
-	if need <= 1 {
-		return 1
-	}
-	if need > bw {
-		return bw
-	}
-	return need
+	return min((ntargets+64)/64, s.BatchWords()) // +1 slot for the good machine
 }
 
 // SetTraceCacheCap resizes the good-machine trace cache to hold n
@@ -361,28 +329,6 @@ func (s *Simulator) Nsv() int {
 		return s.c.NumFFs()
 	}
 	return len(s.chain)
-}
-
-// scanIn loads the scan-in vector into eng: under full scan si is
-// indexed by flip-flop position; under partial scan by chain position,
-// with unscanned flip-flops left X.
-func (s *Simulator) scanIn(eng *sim.Engine, si logic.Vector) {
-	nff := s.c.NumFFs()
-	if s.chain == nil {
-		if si == nil {
-			si = logic.NewVector(nff, logic.X)
-		}
-		eng.SetStateVector(si)
-		return
-	}
-	eng.SetStateVector(logic.NewVector(nff, logic.X))
-	for k, ff := range s.chain {
-		v := logic.X
-		if si != nil && k < len(si) {
-			v = si[k]
-		}
-		eng.SetState(ff, logic.FromValue(v))
-	}
 }
 
 // Circuit returns the simulated netlist.
@@ -473,8 +419,8 @@ func (s *Simulator) AllDetected(si logic.Vector, seq logic.Sequence, must *fault
 
 // targetIndices resolves the target set to a freshly allocated slice of
 // fault indices, in the installed simulation order. Target sets that fit
-// a single interpreter pass skip the order filter: packing within one
-// pass cannot change pass count or results.
+// a single one-word pass skip the order filter: packing within one pass
+// cannot change pass count or results.
 func (s *Simulator) targetIndices(targets *fault.Set) []int {
 	order := s.Order()
 	if targets == nil {
@@ -490,7 +436,7 @@ func (s *Simulator) targetIndices(targets *fault.Set) []int {
 	}
 	n := targets.Count()
 	idx := make([]int, 0, n)
-	if order == nil || n <= batchSize {
+	if order == nil || n < 64 {
 		targets.ForEach(func(i int) { idx = append(idx, i) })
 		return idx
 	}
@@ -533,11 +479,7 @@ func (s *Simulator) run(seq logic.Sequence, opt Options, detected *fault.Set, pr
 		repack: abort == nil && profile == nil && opt.Potential == nil && len(seq) > 1,
 	}
 
-	width := s.effWidth(len(targets))
-	bs := batchSize
-	if width > 1 {
-		bs = 64*width - 1
-	}
+	bs := 64*s.effWidth(len(targets)) - 1
 	cache := s.traceCacheRef()
 	if len(seq) > 0 {
 		tr, repeat := cache.lookup(opt.Init, seq)
@@ -558,11 +500,8 @@ func (s *Simulator) run(seq logic.Sequence, opt Options, detected *fault.Set, pr
 	}
 
 	for queue := targets; len(queue) > 0; {
-		width = s.effWidth(len(queue))
-		bs = batchSize
-		if width > 1 {
-			bs = 64*width - 1
-		}
+		width := s.effWidth(len(queue))
+		bs = 64*width - 1
 		if spec.good != nil {
 			bs++ // a cached good machine frees slot 0 for one more fault
 		}
@@ -651,165 +590,17 @@ func containsAllIdx(set *fault.Set, batch []int) bool {
 	return true
 }
 
-// simulate runs one pass at the chosen width: single-word passes take
-// the interpreter engine, wider ones the compiled batch kernel. The
-// pass-work counters record each pass and the vectors it actually
-// executed (early exits cut the vector count). The returned slice holds
-// the survivors of a repacked pass (nil when the pass ran to completion
-// or fully detected its faults).
+// simulate runs one pass at the chosen width. The pass-work counters
+// record each pass and the vectors it actually executed (early exits cut
+// the vector count). The returned slice holds the survivors of a
+// repacked pass (nil when the pass ran to completion or fully detected
+// its faults).
 func (w *worker) simulate(batch []int, spec *runSpec, width int, detected, potential *fault.Set) []int {
-	var nvec int
-	var surv []int
-	if width <= 1 {
-		nvec, surv = w.runBatch(batch, spec, detected, potential)
-	} else {
-		nvec, surv = w.runBatchVec(batch, spec, width, detected, potential)
-	}
+	nvec, surv := w.runBatchVec(batch, spec, width, detected, potential)
 	w.s.passes.Add(1)
 	w.s.passVectors.Add(int64(nvec))
 	w.s.faultSlots.Add(int64(len(batch)))
 	return surv
-}
-
-// runBatch simulates one parallel-fault pass over spec.seq. batch holds
-// the fault indices of the pass; detections are added to detected and
-// potential detections to potential (nil = not collected). In profile
-// mode (spec.profile non-nil) per-time detection data is recorded
-// instead of early-exiting. It returns the number of input vectors
-// actually executed, plus the undetected survivors when the pass
-// repacked (see run).
-func (w *worker) runBatch(batch []int, spec *runSpec, detected, potential *fault.Set) (int, []int) {
-	s := w.s
-	eng := w.engine()
-	eng.Reset()
-	w.injBuf = w.injBuf[:0]
-	slot0 := uint(1) // slot of the first faulty machine
-	if spec.good != nil {
-		slot0 = 0 // cached good machine: slot 0 carries a fault too
-	}
-	var batchMask uint64
-	for bi, fi := range batch {
-		mask := uint64(1) << (uint(bi) + slot0)
-		batchMask |= mask
-		w.injBuf = append(w.injBuf, s.faults[fi].Injection(mask))
-	}
-	eng.SetInjections(w.injBuf)
-
-	s.scanIn(eng, spec.init)
-
-	profile := spec.profile
-	var detMask uint64
-	for u, vec := range spec.seq {
-		if spec.abort != nil && spec.abort.Load() {
-			return u, nil // another pass already failed the must-detect check
-		}
-		eng.SetPIVector(vec)
-		eng.EvalComb()
-		var diff, pot uint64
-		for i := range s.c.POs {
-			wv := eng.PO(i)
-			var g logic.Word
-			if spec.good != nil {
-				g = spec.good.po[u][i]
-			} else {
-				g = wv.BroadcastSlot(0)
-			}
-			diff |= logic.DiffDefinite(wv, g)
-			if potential != nil {
-				pot |= g.Defined() &^ wv.Defined()
-			}
-		}
-		if pot &= batchMask; pot != 0 {
-			for bi := range batch {
-				if pot&(1<<(uint(bi)+slot0)) != 0 {
-					potential.Add(batch[bi])
-				}
-			}
-		}
-		diff &= batchMask &^ detMask
-		if diff != 0 {
-			for bi := range batch {
-				if diff&(1<<(uint(bi)+slot0)) != 0 {
-					detected.Add(batch[bi])
-					if profile != nil {
-						profile.poDetect[batch[bi]] = int32(u)
-					}
-					if spec.rec != nil {
-						spec.rec.first[batch[bi]] = int32(u)
-					}
-				}
-			}
-			detMask |= diff
-		}
-		eng.ClockFF()
-		if profile != nil {
-			// Record which faults a scan-out after this clock would catch.
-			var sdiff uint64
-			for k, ff := range s.observed {
-				wv := eng.State(ff)
-				var g logic.Word
-				if spec.good != nil {
-					g = spec.good.obs[u][k]
-				} else {
-					g = wv.BroadcastSlot(0)
-				}
-				sdiff |= logic.DiffDefinite(wv, g)
-			}
-			sdiff &= batchMask
-			if sdiff != 0 {
-				for bi := range batch {
-					if sdiff&(1<<(uint(bi)+slot0)) != 0 {
-						profile.setStateDiff(batch[bi], u)
-					}
-				}
-			}
-			continue
-		}
-		if detMask == batchMask && potential == nil {
-			return u + 1, nil // every fault in this pass already detected
-		}
-		if spec.repack && repackable(u, len(spec.seq)) {
-			if live := len(batch) - bits.OnesCount64(detMask); 2*live <= len(batch) {
-				return u + 1, undetectedOf(batch, slot0, func(bit uint) bool {
-					return detMask&(1<<bit) != 0
-				})
-			}
-		}
-	}
-	if spec.scanOut {
-		last := len(spec.seq) - 1
-		var sdiff, spot uint64
-		for k, ff := range s.observed {
-			wv := eng.State(ff)
-			var g logic.Word
-			if spec.good != nil && last >= 0 {
-				g = spec.good.obs[last][k]
-			} else {
-				g = wv.BroadcastSlot(0)
-			}
-			sdiff |= logic.DiffDefinite(wv, g)
-			if potential != nil {
-				spot |= g.Defined() &^ wv.Defined()
-			}
-		}
-		if spot &= batchMask; spot != 0 {
-			for bi := range batch {
-				if spot&(1<<(uint(bi)+slot0)) != 0 {
-					potential.Add(batch[bi])
-				}
-			}
-		}
-		sdiff &= batchMask &^ detMask
-		for bi := range batch {
-			if sdiff&(1<<(uint(bi)+slot0)) != 0 {
-				detected.Add(batch[bi])
-				if spec.rec != nil {
-					spec.rec.so[batch[bi]] = true
-				}
-			}
-		}
-	}
-	return len(spec.seq), nil
 }
 
 // repackable reports whether a pass at vector u (of seqLen) may still
@@ -833,14 +624,16 @@ func undetectedOf(batch []int, slot0 uint, det func(bit uint) bool) []int {
 	return surv
 }
 
-// runBatchVec is runBatch on the compiled batch kernel: one pass over
-// spec.seq carries up to 64*width - 1 faulty machines (64*width with a
-// cached good trace). The observation logic mirrors runBatch word by
-// word — the good trace is slot-uniform, so comparing every word
-// against the same good word is exact — which keeps detection results
-// bit-identical to the interpreter at any width. It returns the number
-// of input vectors actually executed, plus the undetected survivors when
-// the pass repacked (see run).
+// runBatchVec simulates one parallel-fault pass over spec.seq on the
+// compiled batch kernel: it carries up to 64*width - 1 faulty machines
+// (64*width with a cached good trace). batch holds the fault indices of
+// the pass; detections are added to detected and potential detections
+// to potential (nil = not collected). The good trace is slot-uniform, so
+// comparing every word against the same good word is exact. In profile
+// mode (spec.profile non-nil) per-time detection data is recorded
+// instead of early-exiting. It returns the number of input vectors
+// actually executed, plus the undetected survivors when the pass
+// repacked (see run).
 func (wk *worker) runBatchVec(batch []int, spec *runSpec, width int, detected, potential *fault.Set) (int, []int) {
 	s := wk.s
 	eng := wk.kernel(width)
@@ -866,6 +659,13 @@ func (wk *worker) runBatchVec(batch []int, spec *runSpec, width int, detected, p
 	detMask := wk.vecBuf[1*width : 2*width]
 	diff := wk.vecBuf[2*width : 3*width]
 	pot := wk.vecBuf[3*width : 4*width]
+	if potential == nil {
+		pot = nil
+	}
+	var goodPO, goodObs [][]logic.Word // nil: slot 0 carries the good machine
+	if spec.good != nil {
+		goodPO, goodObs = spec.good.po, spec.good.obs
+	}
 
 	wk.binjBuf = wk.binjBuf[:0]
 	for bi, fi := range batch {
@@ -878,7 +678,7 @@ func (wk *worker) runBatchVec(batch []int, spec *runSpec, width int, detected, p
 	}
 	eng.SetInjections(wk.binjBuf)
 
-	s.scanInVec(eng, spec.init)
+	s.scanIn(eng, spec.init)
 
 	profile := spec.profile
 	for u, vec := range spec.seq {
@@ -890,22 +690,7 @@ func (wk *worker) runBatchVec(batch []int, spec *runSpec, width int, detected, p
 		clear(diff)
 		clear(pot)
 		for i := range s.c.POs {
-			wv := eng.PO(i)
-			var g logic.Word
-			if spec.good != nil {
-				g = spec.good.po[u][i]
-			} else {
-				g = wv[0].BroadcastSlot(0)
-			}
-			for k := 0; k < width; k++ {
-				diff[k] |= logic.DiffDefinite(wv[k], g)
-			}
-			if potential != nil {
-				gd := g.Defined()
-				for k := 0; k < width; k++ {
-					pot[k] |= gd &^ wv[k].Defined()
-				}
-			}
+			observe(eng.PO(i), row(goodPO, u), i, diff, pot)
 		}
 		for k := 0; k < width; k++ {
 			if potential != nil {
@@ -935,16 +720,7 @@ func (wk *worker) runBatchVec(batch []int, spec *runSpec, width int, detected, p
 			// Record which faults a scan-out after this clock would catch.
 			clear(diff)
 			for j, ff := range s.observed {
-				wv := eng.State(ff)
-				var g logic.Word
-				if spec.good != nil {
-					g = spec.good.obs[u][j]
-				} else {
-					g = wv[0].BroadcastSlot(0)
-				}
-				for k := 0; k < width; k++ {
-					diff[k] |= logic.DiffDefinite(wv[k], g)
-				}
+				observe(eng.State(ff), row(goodObs, u), j, diff, nil)
 			}
 			for k := 0; k < width; k++ {
 				for m := diff[k] & batchMask[k]; m != 0; m &= m - 1 {
@@ -954,7 +730,7 @@ func (wk *worker) runBatchVec(batch []int, spec *runSpec, width int, detected, p
 			}
 			continue
 		}
-		if potential == nil && masksEqual(detMask, batchMask) {
+		if potential == nil && slices.Equal(detMask, batchMask) {
 			return u + 1, nil // every fault in this pass already detected
 		}
 		if spec.repack && repackable(u, len(spec.seq)) {
@@ -970,26 +746,10 @@ func (wk *worker) runBatchVec(batch []int, spec *runSpec, width int, detected, p
 		}
 	}
 	if spec.scanOut {
-		last := len(spec.seq) - 1
 		clear(diff)
 		clear(pot)
 		for j, ff := range s.observed {
-			wv := eng.State(ff)
-			var g logic.Word
-			if spec.good != nil && last >= 0 {
-				g = spec.good.obs[last][j]
-			} else {
-				g = wv[0].BroadcastSlot(0)
-			}
-			for k := 0; k < width; k++ {
-				diff[k] |= logic.DiffDefinite(wv[k], g)
-			}
-			if potential != nil {
-				gd := g.Defined()
-				for k := 0; k < width; k++ {
-					pot[k] |= gd &^ wv[k].Defined()
-				}
-			}
+			observe(eng.State(ff), row(goodObs, len(spec.seq)-1), j, diff, pot)
 		}
 		for k := 0; k < width; k++ {
 			if potential != nil {
@@ -1011,9 +771,10 @@ func (wk *worker) runBatchVec(batch []int, spec *runSpec, width int, detected, p
 	return len(spec.seq), nil
 }
 
-// scanInVec is scanIn for the batch kernel: scan-in values broadcast to
-// every slot.
-func (s *Simulator) scanInVec(eng *sim.BatchEngine, si logic.Vector) {
+// scanIn loads the scan-in vector into eng, broadcast to every slot:
+// under full scan si is indexed by flip-flop position; under partial
+// scan by chain position, with unscanned flip-flops left X.
+func (s *Simulator) scanIn(eng *sim.BatchEngine, si logic.Vector) {
 	nff := s.c.NumFFs()
 	if s.chain == nil {
 		if si == nil {
@@ -1032,14 +793,32 @@ func (s *Simulator) scanInVec(eng *sim.BatchEngine, si logic.Vector) {
 	}
 }
 
-// masksEqual reports a == b word for word (equal lengths assumed).
-func masksEqual(a, b []uint64) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
+// observe folds observation point i into the per-word masks: diff gains
+// the slots whose faulty value wv definitely differs from the good
+// value, and pot (nil = not collected) the slots where the good value
+// is definite but the faulty one is not. The good value comes from good
+// (a cached trace row) or, when good is nil, from slot 0 of wv.
+func observe(wv logic.WordVec, good []logic.Word, i int, diff, pot []uint64) {
+	g := wv[0].BroadcastSlot(0)
+	if good != nil {
+		g = good[i]
 	}
-	return true
+	for k := range diff {
+		diff[k] |= logic.DiffDefinite(wv[k], g)
+	}
+	gd := g.Defined()
+	for k := range pot {
+		pot[k] |= gd &^ wv[k].Defined()
+	}
+}
+
+// row returns rows[u] of a cached good trace, or nil when there is no
+// cached trace (slot 0 carries the good machine) or no row u.
+func row(rows [][]logic.Word, u int) []logic.Word {
+	if u < 0 || u >= len(rows) {
+		return nil
+	}
+	return rows[u]
 }
 
 // GoodTrace returns the good-machine trace of seq from init (nil = all X).

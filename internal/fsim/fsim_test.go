@@ -158,11 +158,12 @@ func TestDetectTargetsSubset(t *testing.T) {
 }
 
 func TestDetectManyFaultsMultipleBatches(t *testing.T) {
-	// ShiftReg(20) has >63 collapsed faults, forcing multiple passes.
+	// ShiftReg(20) has >63 collapsed faults, more than one one-word pass
+	// holds.
 	c := samples.ShiftReg(20)
 	faults := fault.Collapse(c)
-	if len(faults) <= batchSize {
-		t.Skipf("need >%d faults, have %d", batchSize, len(faults))
+	if len(faults) <= 63 {
+		t.Skipf("need >63 faults, have %d", len(faults))
 	}
 	s := New(c, faults)
 	r := rand.New(rand.NewSource(9))

@@ -25,8 +25,8 @@ func kernelDiffFixture(t testing.TB, partial bool) (*Simulator, []fault.Fault, l
 	for u := range seq {
 		seq[u] = make(logic.Vector, c.NumPIs())
 		for i := range seq[u] {
-			// Sprinkle X inputs: the kernel's three-valued semantics must
-			// match the interpreter on unknowns, not just on 0/1.
+			// Sprinkle X inputs: width invariance must hold on unknowns,
+			// not just on 0/1.
 			switch r.Intn(6) {
 			case 0:
 				seq[u][i] = logic.X
@@ -59,11 +59,13 @@ func kernelDiffFixture(t testing.TB, partial bool) (*Simulator, []fault.Fault, l
 	return NewChain(c, faults, ch), faults, seq, si
 }
 
-// TestKernelWidthEquivalence is the fsim-level differential: for full
-// and partial scan, serial and parallel workers, plain / Potential /
-// Profile / DetectsAll runs, every batch width must reproduce the
-// interpreter's (SetBatchWords(1)) results bit for bit — with a cold
-// cache and with the memoized good trace.
+// TestKernelWidthEquivalence checks width invariance at the fsim level:
+// for full and partial scan, serial and parallel workers, plain /
+// Potential / Profile / DetectsAll runs, every batch width must
+// reproduce the one-word (SetBatchWords(1)) results bit for bit — with a
+// cold cache and with the memoized good trace. Correctness against an
+// independent simulator is the oracle package's job (its differential
+// tests sweep the same widths against the scalar reference).
 func TestKernelWidthEquivalence(t *testing.T) {
 	for _, partial := range []bool{false, true} {
 		name := "full"
@@ -73,7 +75,7 @@ func TestKernelWidthEquivalence(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			s, faults, seq, si := kernelDiffFixture(t, partial)
 
-			// Interpreter reference.
+			// One-word reference.
 			ref := New(s.Circuit(), faults)
 			if partial {
 				ref = NewChain(s.Circuit(), faults, mustChain(t, s))
@@ -93,10 +95,10 @@ func TestKernelWidthEquivalence(t *testing.T) {
 							pot := fault.NewSet(len(faults))
 							det := s.Detect(seq, Options{Init: si, ScanOut: true, Potential: pot})
 							if !det.Equal(refDet) {
-								t.Fatalf("rep %d: detected set differs from interpreter", rep)
+								t.Fatalf("rep %d: detected set differs from one-word passes", rep)
 							}
 							if !pot.Equal(refPot) {
-								t.Fatalf("rep %d: potential set differs from interpreter", rep)
+								t.Fatalf("rep %d: potential set differs from one-word passes", rep)
 							}
 							if plain := s.DetectTest(si, seq, nil); !plain.Equal(refDet) {
 								t.Fatalf("rep %d: plain detected set differs", rep)
@@ -114,7 +116,7 @@ func TestKernelWidthEquivalence(t *testing.T) {
 								}
 							}
 							if !s.AllDetected(si, seq, refDet) {
-								t.Fatalf("rep %d: AllDetected rejected the interpreter's detected set", rep)
+								t.Fatalf("rep %d: AllDetected rejected the one-word detected set", rep)
 							}
 							undet := fault.NewFullSet(len(faults))
 							undet.SubtractWith(refDet)
@@ -140,7 +142,7 @@ func mustChain(t *testing.T, s *Simulator) *scan.Chain {
 }
 
 // TestKernelTargetSubsets drives runs whose target sets shrink below one
-// word: the adaptive width must fall back to the interpreter without
+// word: the adaptive width must narrow to one-word passes without
 // changing any result (the fault-dropping path of the compaction loops).
 func TestKernelTargetSubsets(t *testing.T) {
 	s, faults, seq, si := kernelDiffFixture(t, false)
@@ -155,7 +157,7 @@ func TestKernelTargetSubsets(t *testing.T) {
 		got := s.DetectTest(si, seq, targets)
 		want := ref.DetectTest(si, seq, targets)
 		if !got.Equal(want) {
-			t.Errorf("targets=%d: kernel detected set differs from interpreter", n)
+			t.Errorf("targets=%d: 8-word detected set differs from one-word passes", n)
 		}
 	}
 }

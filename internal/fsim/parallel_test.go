@@ -18,7 +18,7 @@ func parallelFixture(t testing.TB) (*Simulator, []fault.Fault, logic.Sequence, l
 	t.Helper()
 	c := gen.MustGenerate(gen.Params{Name: "par", Seed: 7, PIs: 6, POs: 5, FFs: 16, Gates: 220})
 	faults := fault.Collapse(c)
-	if len(faults) <= 3*batchSize {
+	if len(faults) <= 3*63 {
 		t.Fatalf("fixture too small: %d faults", len(faults))
 	}
 	r := rand.New(rand.NewSource(3))

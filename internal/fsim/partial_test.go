@@ -74,14 +74,15 @@ func TestPartialScanInIndexing(t *testing.T) {
 	s := NewChain(c, nil, ch)
 	w := s.acquire()
 	defer s.release(w)
-	s.scanIn(w.engine(), vec("10"))
-	if got := w.engine().State(2).Get(0); got != logic.One {
+	eng := w.kernel(1)
+	s.scanIn(eng, vec("10"))
+	if got := eng.State(2).Get(0); got != logic.One {
 		t.Errorf("q2 = %v, want 1", got)
 	}
-	if got := w.engine().State(0).Get(0); got != logic.Zero {
+	if got := eng.State(0).Get(0); got != logic.Zero {
 		t.Errorf("q0 = %v, want 0", got)
 	}
-	if got := w.engine().State(1).Get(0); got != logic.X {
+	if got := eng.State(1).Get(0); got != logic.X {
 		t.Errorf("unscanned q1 = %v, want X", got)
 	}
 }
@@ -92,11 +93,12 @@ func TestPartialScanShortVectorLeavesX(t *testing.T) {
 	s := NewChain(c, nil, ch)
 	w := s.acquire()
 	defer s.release(w)
-	s.scanIn(w.engine(), vec("1")) // shorter than the chain
-	if w.engine().State(0).Get(0) != logic.One {
+	eng := w.kernel(1)
+	s.scanIn(eng, vec("1")) // shorter than the chain
+	if eng.State(0).Get(0) != logic.One {
 		t.Error("chain position 0 not loaded")
 	}
-	if w.engine().State(1).Get(0) != logic.X {
+	if eng.State(1).Get(0) != logic.X {
 		t.Error("missing scan-in position should stay X")
 	}
 }

@@ -24,11 +24,11 @@ type goodTrace struct {
 	obs [][]logic.Word // obs[u][k]: observed FF k after clock u
 }
 
-// computeGoodTrace replays seq from init on the worker's engine with no
-// injections and records the trace.
+// computeGoodTrace replays seq from init on a one-word pass of the
+// worker's kernel with no injections and records the trace.
 func (w *worker) computeGoodTrace(init logic.Vector, seq logic.Sequence) *goodTrace {
 	s := w.s
-	eng := w.engine()
+	eng := w.kernel(1)
 	eng.Reset()
 	s.scanIn(eng, init)
 	tr := &goodTrace{
@@ -40,13 +40,13 @@ func (w *worker) computeGoodTrace(init logic.Vector, seq logic.Sequence) *goodTr
 		eng.EvalComb()
 		po := make([]logic.Word, len(s.c.POs))
 		for i := range s.c.POs {
-			po[i] = eng.PO(i)
+			po[i] = eng.PO(i)[0]
 		}
 		tr.po[u] = po
 		eng.ClockFF()
 		obs := make([]logic.Word, len(s.observed))
 		for k, ff := range s.observed {
-			obs[k] = eng.State(ff)
+			obs[k] = eng.State(ff)[0]
 		}
 		tr.obs[u] = obs
 	}

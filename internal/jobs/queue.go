@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -138,7 +139,7 @@ type Job struct {
 	phases    []string // progress phases entered, in order
 	err       error
 	artifacts *Artifacts
-	subs      []chan string
+	wakes     []chan struct{} // one per follower, signalled on every change
 
 	done chan struct{}
 }
@@ -174,51 +175,80 @@ func (j *Job) Wait(ctx context.Context) error {
 }
 
 // Follow subscribes to the job's progress: the returned channel yields
-// every phase already entered, then live phases, and closes when the
-// job completes. Call the cancel function to unsubscribe early.
+// every phase already entered, then live phases, in order, and closes
+// when the job completes and the follower has received every phase.
+// Call the cancel function to unsubscribe early; the channel then
+// closes too. One goroutine per follower sends and closes, so the
+// channel is never written after it is closed.
 func (j *Job) Follow() (<-chan string, func()) {
 	ch := make(chan string, 16)
+	wake := make(chan struct{}, 1)
+	stop := make(chan struct{})
 	j.mu.Lock()
-	backlog := append([]string(nil), j.phases...)
-	terminal := j.state == StateDone || j.state == StateCached || j.state == StateFailed
-	if !terminal {
-		j.subs = append(j.subs, ch)
-	}
+	j.wakes = append(j.wakes, wake)
 	j.mu.Unlock()
 	go func() {
-		for _, p := range backlog {
-			ch <- p
-		}
-		if terminal {
-			close(ch)
-		}
-	}()
-	cancel := func() {
-		j.mu.Lock()
-		for i, s := range j.subs {
-			if s == ch {
-				j.subs = append(j.subs[:i], j.subs[i+1:]...)
-				break
+		defer close(ch)
+		defer j.unsubscribe(wake)
+		for sent := 0; ; {
+			j.mu.Lock()
+			pending := j.phases[sent:len(j.phases):len(j.phases)]
+			terminal := j.terminal()
+			j.mu.Unlock()
+			for _, p := range pending {
+				select {
+				case ch <- p:
+					sent++
+				case <-stop:
+					return
+				}
+			}
+			if terminal {
+				return
+			}
+			select {
+			case <-wake:
+			case <-stop:
+				return
 			}
 		}
-		j.mu.Unlock()
-	}
-	return ch, cancel
+	}()
+	return ch, sync.OnceFunc(func() { close(stop) })
 }
 
-// emit records a phase and fans it out to followers. Followers that
-// cannot keep up drop phases rather than block the pipeline.
-func (j *Job) emit(phase string) {
+// terminal reports whether the job has finished; j.mu must be held.
+func (j *Job) terminal() bool {
+	return j.state == StateDone || j.state == StateCached || j.state == StateFailed
+}
+
+// unsubscribe removes a follower's wake channel.
+func (j *Job) unsubscribe(wake chan struct{}) {
 	j.mu.Lock()
-	j.phases = append(j.phases, phase)
-	subs := append([]chan string(nil), j.subs...)
-	j.mu.Unlock()
-	for _, ch := range subs {
+	defer j.mu.Unlock()
+	if i := slices.Index(j.wakes, wake); i >= 0 {
+		j.wakes = slices.Delete(j.wakes, i, i+1)
+	}
+}
+
+// notify wakes every follower without blocking; j.mu must be held. A
+// wake already pending covers this change too, since followers re-read
+// the job's state after each wake.
+func (j *Job) notify() {
+	for _, w := range j.wakes {
 		select {
-		case ch <- phase:
+		case w <- struct{}{}:
 		default:
 		}
 	}
+}
+
+// emit records a phase and wakes the followers, which forward it. A
+// slow follower never blocks the pipeline.
+func (j *Job) emit(phase string) {
+	j.mu.Lock()
+	j.phases = append(j.phases, phase)
+	j.notify()
+	j.mu.Unlock()
 }
 
 // finish moves the job to a terminal state and wakes every waiter.
@@ -227,12 +257,8 @@ func (j *Job) finish(state State, a *Artifacts, err error) {
 	j.state = state
 	j.artifacts = a
 	j.err = err
-	subs := j.subs
-	j.subs = nil
+	j.notify()
 	j.mu.Unlock()
-	for _, ch := range subs {
-		close(ch)
-	}
 	close(j.done)
 }
 

@@ -3,6 +3,9 @@ package jobs
 import (
 	"context"
 	"errors"
+	"fmt"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -207,4 +210,48 @@ func TestJobFollowReplaysBacklog(t *testing.T) {
 			t.Fatalf("phases = %v, want %v", phases, want)
 		}
 	}
+}
+
+// TestJobFollowWhileFinishing races followers against a job's progress
+// and completion: followers subscribe before, during and after the
+// phases are emitted and the job finishes, and some cancel part-way.
+// Nothing may send on a closed channel, a follower that reads to the end
+// must see every phase in order, one that cancels must see a prefix and
+// then a closed channel, and no follower goroutine may outlive its job.
+// CI runs it with -race -count=10.
+func TestJobFollowWhileFinishing(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	phases := []string{"atpg", "t0", "proposed", "random", "baselines"}
+	for round := 0; round < 50; round++ {
+		j := &Job{ID: fmt.Sprint(round), state: StateRunning, done: make(chan struct{})}
+		var wg sync.WaitGroup
+		for f := 0; f < 8; f++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				ch, cancel := j.Follow()
+				defer cancel()
+				var got []string
+				for p := range ch {
+					got = append(got, p)
+					if f%4 == 3 && len(got) == 2 {
+						cancel() // the feed must still close
+					}
+				}
+				if f%4 != 3 && !slices.Equal(got, phases) {
+					t.Errorf("round %d follower %d: phases %v, want %v", round, f, got, phases)
+				}
+				if !slices.Equal(got, phases[:len(got)]) {
+					t.Errorf("round %d follower %d: phases %v are not a prefix of %v", round, f, got, phases)
+				}
+			}()
+		}
+		for _, p := range phases {
+			j.emit(p)
+			runtime.Gosched()
+		}
+		j.finish(StateDone, nil, nil)
+		wg.Wait()
+	}
+	checkGoroutines(t, baseline)
 }

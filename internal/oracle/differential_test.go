@@ -91,7 +91,7 @@ func TestDifferentialSweep(t *testing.T) {
 // TestDifferentialBatchWidths sweeps the compiled kernel's batch width
 // against the scalar reference on roster circuits large enough that the
 // kernel path genuinely engages (several hundred collapsed faults):
-// 64-slot (interpreter), 256-slot and 512-slot passes must all grade
+// 64-slot, 256-slot and 512-slot passes must all grade
 // identically, under full and partial scan, with and without a cached
 // good trace.
 func TestDifferentialBatchWidths(t *testing.T) {

@@ -139,11 +139,13 @@ func FuzzDifferential(f *testing.F) {
 }
 
 // FuzzKernelDifferential cross-checks the compiled batch kernel against
-// the interpreter engine node for node on fuzzer-shaped circuits. The
+// the interpreter engine node for node on fuzzer-shaped circuits, at
+// widths 1, 2 and 4 so each of the kernel's loops (the one-word and
+// four-word specializations and the generic loop) is stressed. The
 // faults go straight into BatchEngine injections spread over every word
-// of a 2-word batch — bypassing fsim's adaptive width, which would fall
-// back to the interpreter on circuits this small — so the kernel's
-// compile/decompose/patch machinery itself is what the fuzzer stresses.
+// of the batch — bypassing fsim's adaptive width, which would pick one
+// word on circuits this small — so the kernel's compile/schedule/patch
+// machinery itself is what the fuzzer stresses.
 func FuzzKernelDifferential(f *testing.F) {
 	for _, c := range corpusCircuits() {
 		if data, err := EncodeFuzz(c, corpusTest(c, 6)); err == nil {
@@ -157,49 +159,58 @@ func FuzzKernelDifferential(f *testing.F) {
 		if err != nil {
 			t.Skip()
 		}
-		const words = 2
 		faults := fault.Collapse(c)
-		be := sim.NewBatch(sim.Compile(c), words)
-		injs := make([]sim.BatchInjection, 0, len(faults))
-		perWord := make([][]sim.Injection, words)
-		for i, fl := range faults {
-			slot := 1 + i%(64*words-1)
-			mask := make([]uint64, words)
-			mask[slot>>6] = 1 << (uint(slot) & 63)
-			injs = append(injs, sim.BatchInjection{Node: fl.Node, Pin: fl.Pin, Stuck: fl.Stuck, Mask: mask})
-			perWord[slot>>6] = append(perWord[slot>>6], fl.Injection(mask[slot>>6]))
-		}
-		be.SetInjections(injs)
-		be.SetStateVector(tst.SI)
-		engines := make([]*sim.Engine, words)
-		for j := range engines {
-			engines[j] = sim.New(c)
-			engines[j].SetInjections(perWord[j])
-			engines[j].SetStateVector(tst.SI)
-		}
-		for u, vec := range tst.Seq {
-			be.SetPIVector(vec)
-			be.EvalComb()
-			for j, eng := range engines {
-				eng.SetPIVector(vec)
-				eng.EvalComb()
-				for n := 0; n < c.NumNodes(); n++ {
-					if be.Val(n)[j] != eng.Val(n) {
-						t.Fatalf("u=%d eval node %d (%s) word %d: kernel %+v, engine %+v",
-							u, n, c.Nodes[n].Name, j, be.Val(n)[j], eng.Val(n))
-					}
-				}
-			}
-			be.ClockFF()
-			for j, eng := range engines {
-				eng.ClockFF()
-				for n := 0; n < c.NumNodes(); n++ {
-					if be.Val(n)[j] != eng.Val(n) {
-						t.Fatalf("u=%d clock node %d word %d: kernel %+v, engine %+v",
-							u, n, j, be.Val(n)[j], eng.Val(n))
-					}
-				}
-			}
+		p := sim.Compile(c)
+		for _, words := range []int{1, 2, 4} {
+			kernelDiff(t, c, p, faults, tst, words)
 		}
 	})
+}
+
+// kernelDiff runs tst on a words-wide BatchEngine carrying faults and on
+// one interpreter Engine per word carrying that word's faults, and
+// fails on the first node whose values differ.
+func kernelDiff(t *testing.T, c *circuit.Circuit, p *sim.Program, faults []fault.Fault, tst scan.Test, words int) {
+	be := sim.NewBatch(p, words)
+	injs := make([]sim.BatchInjection, 0, len(faults))
+	perWord := make([][]sim.Injection, words)
+	for i, fl := range faults {
+		slot := 1 + i%(64*words-1)
+		mask := make([]uint64, words)
+		mask[slot>>6] = 1 << (uint(slot) & 63)
+		injs = append(injs, sim.BatchInjection{Node: fl.Node, Pin: fl.Pin, Stuck: fl.Stuck, Mask: mask})
+		perWord[slot>>6] = append(perWord[slot>>6], fl.Injection(mask[slot>>6]))
+	}
+	be.SetInjections(injs)
+	be.SetStateVector(tst.SI)
+	engines := make([]*sim.Engine, words)
+	for j := range engines {
+		engines[j] = sim.New(c)
+		engines[j].SetInjections(perWord[j])
+		engines[j].SetStateVector(tst.SI)
+	}
+	for u, vec := range tst.Seq {
+		be.SetPIVector(vec)
+		be.EvalComb()
+		for j, eng := range engines {
+			eng.SetPIVector(vec)
+			eng.EvalComb()
+			for n := 0; n < c.NumNodes(); n++ {
+				if be.Val(n)[j] != eng.Val(n) {
+					t.Fatalf("w=%d u=%d eval node %d (%s) word %d: kernel %+v, engine %+v",
+						words, u, n, c.Nodes[n].Name, j, be.Val(n)[j], eng.Val(n))
+				}
+			}
+		}
+		be.ClockFF()
+		for j, eng := range engines {
+			eng.ClockFF()
+			for n := 0; n < c.NumNodes(); n++ {
+				if be.Val(n)[j] != eng.Val(n) {
+					t.Fatalf("w=%d u=%d clock node %d word %d: kernel %+v, engine %+v",
+						words, u, n, j, be.Val(n)[j], eng.Val(n))
+				}
+			}
+		}
+	}
 }

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"fmt"
+	"slices"
+	"unsafe"
 
 	"repro/internal/circuit"
 	"repro/internal/logic"
@@ -25,7 +27,7 @@ type BatchInjection struct {
 	fw     logic.Word
 }
 
-// Injection flag bits, per arena slot.
+// Injection flag bits, per node.
 const (
 	flagOut uint8 = 1 << iota
 	flagPin
@@ -34,8 +36,9 @@ const (
 // BatchEngine executes a compiled Program over W-word batches: 64*W
 // parallel slots per signal instead of the interpreter Engine's 64. The
 // value arena is allocated once (at the capacity width) and reused
-// across passes; the hot loop is a single sweep over the instruction
-// stream with no per-gate kind dispatch or fanin-slice walking.
+// across passes; the hot loop sweeps the instruction stream one
+// same-opcode run at a time, with no per-gate kind dispatch or
+// fanin-slice walking.
 //
 // Injections are handled as a patch pass: every node evaluates through
 // the fast instruction first, and the few nodes carrying injections are
@@ -53,12 +56,12 @@ type BatchEngine struct {
 
 	vals []logic.Word // value arena: slot s occupies vals[s*w : (s+1)*w]
 
-	outInj   [][]BatchInjection // by node whose output is forced
-	pinInj   [][]BatchInjection // by consumer node
-	flags    []uint8            // per slot; temporaries stay 0
-	touched  []int
-	srcInj   []int // injected source nodes, forced at EvalComb start
-	injected bool
+	outInj  [][]BatchInjection // by node whose output is forced
+	pinInj  [][]BatchInjection // by consumer node
+	flags   []uint8            // per node
+	touched []int
+	srcInj  []int   // injected source nodes, forced at EvalComb start
+	fixAt   []int32 // sorted instruction positions of injected gates
 
 	scratch []logic.Word // per-DFF next-state buffer (nff * cap)
 }
@@ -71,7 +74,7 @@ func NewBatch(p *Program, w int) *BatchEngine {
 		w = 1
 	}
 	c := p.c
-	e := &BatchEngine{
+	return &BatchEngine{
 		p:       p,
 		c:       c,
 		cap:     w,
@@ -79,10 +82,9 @@ func NewBatch(p *Program, w int) *BatchEngine {
 		vals:    make([]logic.Word, p.nslots*w),
 		outInj:  make([][]BatchInjection, c.NumNodes()),
 		pinInj:  make([][]BatchInjection, c.NumNodes()),
-		flags:   make([]uint8, p.nslots),
+		flags:   make([]uint8, c.NumNodes()),
 		scratch: make([]logic.Word, c.NumFFs()*w),
 	}
-	return e
 }
 
 // Circuit returns the netlist this engine simulates.
@@ -129,7 +131,7 @@ func (e *BatchEngine) clearInjections() {
 	}
 	e.touched = e.touched[:0]
 	e.srcInj = e.srcInj[:0]
-	e.injected = false
+	e.fixAt = e.fixAt[:0]
 }
 
 // SetInjections installs the active fault injections, replacing any
@@ -137,10 +139,6 @@ func (e *BatchEngine) clearInjections() {
 // the next SetInjections or Reset.
 func (e *BatchEngine) SetInjections(injs []BatchInjection) {
 	e.clearInjections()
-	if len(injs) == 0 {
-		return
-	}
-	e.injected = true
 	for _, in := range injs {
 		in.lo = 0
 		in.hi = len(in.Mask)
@@ -167,6 +165,12 @@ func (e *BatchEngine) SetInjections(injs []BatchInjection) {
 			e.flags[in.Node] |= flagPin
 		}
 	}
+	for _, n := range e.touched {
+		if at := e.p.pos[n]; at >= 0 {
+			e.fixAt = append(e.fixAt, at)
+		}
+	}
+	slices.Sort(e.fixAt)
 }
 
 // SetPIVector broadcasts a scalar PI vector to all slots.
@@ -237,229 +241,323 @@ func (e *BatchEngine) EvalComb() {
 	e.exec()
 }
 
-// exec runs the compiled instruction stream over the active width. This
-// is the hottest loop in the repository: keep it allocation-free and
-// branch-predictable. The common widths dispatch to specializations
-// whose value accesses go through fixed-size array pointers — no slice
-// headers, no bounds checks, constant loop trip counts — which is worth
-// ~2x per instruction over the variable-width loop below.
+// exec runs the compiled program over the active width. This is the
+// hottest loop in the repository: keep it allocation-free and
+// branch-predictable. It switches once per same-opcode run (see
+// Compile) and then loops over the run's operands, so the dispatch
+// branch is not re-decided per instruction.
+//
+// An injected node is fixed right after its own instruction, not at the
+// end of its run (a run can hold both a node and a consumer of it): the
+// runs are split at the sorted instruction positions of injected gates.
 func (e *BatchEngine) exec() {
+	instrs := e.p.instrs
+	fixAt := e.fixAt
+	start := int32(0)
+	for _, r := range e.p.runs {
+		for start < r.end {
+			end := r.end
+			if len(fixAt) > 0 && fixAt[0] < end {
+				end = fixAt[0] + 1
+			}
+			e.execRun(r.op, instrs[start:end])
+			if len(fixAt) > 0 && fixAt[0] == end-1 {
+				e.fix(int(instrs[end-1].dst))
+				fixAt = fixAt[1:]
+			}
+			start = end
+		}
+	}
+}
+
+// execRun executes one stretch of same-opcode instructions. Widths 1, 4
+// (the default) and 8 take specializations that index one word or one
+// fixed-size array per slot: an operand costs a single bounds check and
+// its words are unrolled. Every other width takes execWide.
+func (e *BatchEngine) execRun(op opcode, run []instr) {
 	switch e.w {
+	case 1:
+		exec1(e.vals, op, run)
 	case 4:
-		e.exec4()
-		return
+		exec4(slots[[4]logic.Word](e.vals), op, run)
 	case 8:
-		e.exec8()
-		return
+		exec8(slots[[8]logic.Word](e.vals), op, run)
+	default:
+		execWide(e.vals, e.w, op, run)
 	}
-	w := e.w
-	vals := e.vals
-	flags := e.flags
-	for _, ins := range e.p.instrs {
-		di := int(ins.dst) * w
-		ai := int(ins.a) * w
-		d := vals[di : di+w : di+w]
-		a := vals[ai : ai+w : ai+w]
-		switch ins.op {
-		case opBuf:
-			copy(d, a)
-		case opNot:
-			for i := 0; i < w; i++ {
-				d[i] = logic.Word{Zero: a[i].One, One: a[i].Zero}
-			}
-		case opAnd2:
-			bi := int(ins.b) * w
-			bb := vals[bi : bi+w : bi+w]
-			for i := 0; i < w; i++ {
-				d[i] = logic.Word{Zero: a[i].Zero | bb[i].Zero, One: a[i].One & bb[i].One}
-			}
-		case opNand2:
-			bi := int(ins.b) * w
-			bb := vals[bi : bi+w : bi+w]
-			for i := 0; i < w; i++ {
-				d[i] = logic.Word{Zero: a[i].One & bb[i].One, One: a[i].Zero | bb[i].Zero}
-			}
-		case opOr2:
-			bi := int(ins.b) * w
-			bb := vals[bi : bi+w : bi+w]
-			for i := 0; i < w; i++ {
-				d[i] = logic.Word{Zero: a[i].Zero & bb[i].Zero, One: a[i].One | bb[i].One}
-			}
-		case opNor2:
-			bi := int(ins.b) * w
-			bb := vals[bi : bi+w : bi+w]
-			for i := 0; i < w; i++ {
-				d[i] = logic.Word{Zero: a[i].One | bb[i].One, One: a[i].Zero & bb[i].Zero}
-			}
-		case opXor2:
-			bi := int(ins.b) * w
-			bb := vals[bi : bi+w : bi+w]
-			for i := 0; i < w; i++ {
-				d[i] = logic.Word{
-					Zero: a[i].Zero&bb[i].Zero | a[i].One&bb[i].One,
-					One:  a[i].Zero&bb[i].One | a[i].One&bb[i].Zero,
-				}
-			}
-		case opXnor2:
-			bi := int(ins.b) * w
-			bb := vals[bi : bi+w : bi+w]
-			for i := 0; i < w; i++ {
-				d[i] = logic.Word{
-					Zero: a[i].Zero&bb[i].One | a[i].One&bb[i].Zero,
-					One:  a[i].Zero&bb[i].Zero | a[i].One&bb[i].One,
-				}
-			}
+}
+
+// slots views the arena as one W array per slot. The view aliases the
+// arena's own contiguous words, so it reads and writes nothing else.
+func slots[W [4]logic.Word | [8]logic.Word](arena []logic.Word) []W {
+	var slot W
+	return unsafe.Slice((*W)(unsafe.Pointer(&arena[0])), len(arena)/len(slot))
+}
+
+// exec1 runs one same-opcode stretch on 1-word slots: slot s is vals[s].
+func exec1(vals []logic.Word, op opcode, run []instr) {
+	switch op {
+	case opBuf:
+		for _, in := range run {
+			vals[in.dst] = vals[in.a]
 		}
-		if flags[ins.dst] != 0 {
-			e.fix(int(ins.dst))
+	case opNot:
+		for _, in := range run {
+			vals[in.dst] = vals[in.a].Not()
+		}
+	case opAnd2:
+		for _, in := range run {
+			vals[in.dst] = vals[in.a].And(vals[in.b])
+		}
+	case opNand2:
+		for _, in := range run {
+			vals[in.dst] = vals[in.a].Nand(vals[in.b])
+		}
+	case opOr2:
+		for _, in := range run {
+			vals[in.dst] = vals[in.a].Or(vals[in.b])
+		}
+	case opNor2:
+		for _, in := range run {
+			vals[in.dst] = vals[in.a].Nor(vals[in.b])
+		}
+	case opXor2:
+		for _, in := range run {
+			vals[in.dst] = vals[in.a].Xor(vals[in.b])
+		}
+	case opXnor2:
+		for _, in := range run {
+			vals[in.dst] = vals[in.a].Xnor(vals[in.b])
 		}
 	}
 }
 
-// exec4 is exec specialized for the default 4-word width (256 slots).
-// Array-pointer conversion pins the operand width at compile time: the
-// compiler drops every bounds check and the loop setup per instruction.
-func (e *BatchEngine) exec4() {
-	vals := e.vals
-	flags := e.flags
-	for _, ins := range e.p.instrs {
-		d := (*[4]logic.Word)(vals[int(ins.dst)*4:])
-		a := (*[4]logic.Word)(vals[int(ins.a)*4:])
-		switch ins.op {
-		case opBuf:
-			*d = *a
-		case opNot:
-			d[0] = logic.Word{Zero: a[0].One, One: a[0].Zero}
-			d[1] = logic.Word{Zero: a[1].One, One: a[1].Zero}
-			d[2] = logic.Word{Zero: a[2].One, One: a[2].Zero}
-			d[3] = logic.Word{Zero: a[3].One, One: a[3].Zero}
-		case opAnd2:
-			bb := (*[4]logic.Word)(vals[int(ins.b)*4:])
-			d[0] = logic.Word{Zero: a[0].Zero | bb[0].Zero, One: a[0].One & bb[0].One}
-			d[1] = logic.Word{Zero: a[1].Zero | bb[1].Zero, One: a[1].One & bb[1].One}
-			d[2] = logic.Word{Zero: a[2].Zero | bb[2].Zero, One: a[2].One & bb[2].One}
-			d[3] = logic.Word{Zero: a[3].Zero | bb[3].Zero, One: a[3].One & bb[3].One}
-		case opNand2:
-			bb := (*[4]logic.Word)(vals[int(ins.b)*4:])
-			d[0] = logic.Word{Zero: a[0].One & bb[0].One, One: a[0].Zero | bb[0].Zero}
-			d[1] = logic.Word{Zero: a[1].One & bb[1].One, One: a[1].Zero | bb[1].Zero}
-			d[2] = logic.Word{Zero: a[2].One & bb[2].One, One: a[2].Zero | bb[2].Zero}
-			d[3] = logic.Word{Zero: a[3].One & bb[3].One, One: a[3].Zero | bb[3].Zero}
-		case opOr2:
-			bb := (*[4]logic.Word)(vals[int(ins.b)*4:])
-			d[0] = logic.Word{Zero: a[0].Zero & bb[0].Zero, One: a[0].One | bb[0].One}
-			d[1] = logic.Word{Zero: a[1].Zero & bb[1].Zero, One: a[1].One | bb[1].One}
-			d[2] = logic.Word{Zero: a[2].Zero & bb[2].Zero, One: a[2].One | bb[2].One}
-			d[3] = logic.Word{Zero: a[3].Zero & bb[3].Zero, One: a[3].One | bb[3].One}
-		case opNor2:
-			bb := (*[4]logic.Word)(vals[int(ins.b)*4:])
-			d[0] = logic.Word{Zero: a[0].One | bb[0].One, One: a[0].Zero & bb[0].Zero}
-			d[1] = logic.Word{Zero: a[1].One | bb[1].One, One: a[1].Zero & bb[1].Zero}
-			d[2] = logic.Word{Zero: a[2].One | bb[2].One, One: a[2].Zero & bb[2].Zero}
-			d[3] = logic.Word{Zero: a[3].One | bb[3].One, One: a[3].Zero & bb[3].Zero}
-		case opXor2:
-			bb := (*[4]logic.Word)(vals[int(ins.b)*4:])
-			d[0] = logic.Word{Zero: a[0].Zero&bb[0].Zero | a[0].One&bb[0].One, One: a[0].Zero&bb[0].One | a[0].One&bb[0].Zero}
-			d[1] = logic.Word{Zero: a[1].Zero&bb[1].Zero | a[1].One&bb[1].One, One: a[1].Zero&bb[1].One | a[1].One&bb[1].Zero}
-			d[2] = logic.Word{Zero: a[2].Zero&bb[2].Zero | a[2].One&bb[2].One, One: a[2].Zero&bb[2].One | a[2].One&bb[2].Zero}
-			d[3] = logic.Word{Zero: a[3].Zero&bb[3].Zero | a[3].One&bb[3].One, One: a[3].Zero&bb[3].One | a[3].One&bb[3].Zero}
-		case opXnor2:
-			bb := (*[4]logic.Word)(vals[int(ins.b)*4:])
-			d[0] = logic.Word{Zero: a[0].Zero&bb[0].One | a[0].One&bb[0].Zero, One: a[0].Zero&bb[0].Zero | a[0].One&bb[0].One}
-			d[1] = logic.Word{Zero: a[1].Zero&bb[1].One | a[1].One&bb[1].Zero, One: a[1].Zero&bb[1].Zero | a[1].One&bb[1].One}
-			d[2] = logic.Word{Zero: a[2].Zero&bb[2].One | a[2].One&bb[2].Zero, One: a[2].Zero&bb[2].Zero | a[2].One&bb[2].One}
-			d[3] = logic.Word{Zero: a[3].Zero&bb[3].One | a[3].One&bb[3].Zero, One: a[3].Zero&bb[3].Zero | a[3].One&bb[3].One}
+// exec4 runs one same-opcode stretch on 4-word slots.
+func exec4(vals [][4]logic.Word, op opcode, run []instr) {
+	switch op {
+	case opBuf:
+		for _, in := range run {
+			vals[in.dst] = vals[in.a]
 		}
-		if flags[ins.dst] != 0 {
-			e.fix(int(ins.dst))
+	case opNot:
+		for _, in := range run {
+			d, a := &vals[in.dst], &vals[in.a]
+			d[0] = a[0].Not()
+			d[1] = a[1].Not()
+			d[2] = a[2].Not()
+			d[3] = a[3].Not()
+		}
+	case opAnd2:
+		for _, in := range run {
+			d, a, b := &vals[in.dst], &vals[in.a], &vals[in.b]
+			d[0] = a[0].And(b[0])
+			d[1] = a[1].And(b[1])
+			d[2] = a[2].And(b[2])
+			d[3] = a[3].And(b[3])
+		}
+	case opNand2:
+		for _, in := range run {
+			d, a, b := &vals[in.dst], &vals[in.a], &vals[in.b]
+			d[0] = a[0].Nand(b[0])
+			d[1] = a[1].Nand(b[1])
+			d[2] = a[2].Nand(b[2])
+			d[3] = a[3].Nand(b[3])
+		}
+	case opOr2:
+		for _, in := range run {
+			d, a, b := &vals[in.dst], &vals[in.a], &vals[in.b]
+			d[0] = a[0].Or(b[0])
+			d[1] = a[1].Or(b[1])
+			d[2] = a[2].Or(b[2])
+			d[3] = a[3].Or(b[3])
+		}
+	case opNor2:
+		for _, in := range run {
+			d, a, b := &vals[in.dst], &vals[in.a], &vals[in.b]
+			d[0] = a[0].Nor(b[0])
+			d[1] = a[1].Nor(b[1])
+			d[2] = a[2].Nor(b[2])
+			d[3] = a[3].Nor(b[3])
+		}
+	case opXor2:
+		for _, in := range run {
+			d, a, b := &vals[in.dst], &vals[in.a], &vals[in.b]
+			d[0] = a[0].Xor(b[0])
+			d[1] = a[1].Xor(b[1])
+			d[2] = a[2].Xor(b[2])
+			d[3] = a[3].Xor(b[3])
+		}
+	case opXnor2:
+		for _, in := range run {
+			d, a, b := &vals[in.dst], &vals[in.a], &vals[in.b]
+			d[0] = a[0].Xnor(b[0])
+			d[1] = a[1].Xnor(b[1])
+			d[2] = a[2].Xnor(b[2])
+			d[3] = a[3].Xnor(b[3])
 		}
 	}
 }
 
-// exec8 is exec specialized for 8-word batches (512 slots).
-func (e *BatchEngine) exec8() {
-	vals := e.vals
-	flags := e.flags
-	for _, ins := range e.p.instrs {
-		d := (*[8]logic.Word)(vals[int(ins.dst)*8:])
-		a := (*[8]logic.Word)(vals[int(ins.a)*8:])
-		switch ins.op {
-		case opBuf:
-			*d = *a
-		case opNot:
-			d[0] = logic.Word{Zero: a[0].One, One: a[0].Zero}
-			d[1] = logic.Word{Zero: a[1].One, One: a[1].Zero}
-			d[2] = logic.Word{Zero: a[2].One, One: a[2].Zero}
-			d[3] = logic.Word{Zero: a[3].One, One: a[3].Zero}
-			d[4] = logic.Word{Zero: a[4].One, One: a[4].Zero}
-			d[5] = logic.Word{Zero: a[5].One, One: a[5].Zero}
-			d[6] = logic.Word{Zero: a[6].One, One: a[6].Zero}
-			d[7] = logic.Word{Zero: a[7].One, One: a[7].Zero}
-		case opAnd2:
-			bb := (*[8]logic.Word)(vals[int(ins.b)*8:])
-			d[0] = logic.Word{Zero: a[0].Zero | bb[0].Zero, One: a[0].One & bb[0].One}
-			d[1] = logic.Word{Zero: a[1].Zero | bb[1].Zero, One: a[1].One & bb[1].One}
-			d[2] = logic.Word{Zero: a[2].Zero | bb[2].Zero, One: a[2].One & bb[2].One}
-			d[3] = logic.Word{Zero: a[3].Zero | bb[3].Zero, One: a[3].One & bb[3].One}
-			d[4] = logic.Word{Zero: a[4].Zero | bb[4].Zero, One: a[4].One & bb[4].One}
-			d[5] = logic.Word{Zero: a[5].Zero | bb[5].Zero, One: a[5].One & bb[5].One}
-			d[6] = logic.Word{Zero: a[6].Zero | bb[6].Zero, One: a[6].One & bb[6].One}
-			d[7] = logic.Word{Zero: a[7].Zero | bb[7].Zero, One: a[7].One & bb[7].One}
-		case opNand2:
-			bb := (*[8]logic.Word)(vals[int(ins.b)*8:])
-			d[0] = logic.Word{Zero: a[0].One & bb[0].One, One: a[0].Zero | bb[0].Zero}
-			d[1] = logic.Word{Zero: a[1].One & bb[1].One, One: a[1].Zero | bb[1].Zero}
-			d[2] = logic.Word{Zero: a[2].One & bb[2].One, One: a[2].Zero | bb[2].Zero}
-			d[3] = logic.Word{Zero: a[3].One & bb[3].One, One: a[3].Zero | bb[3].Zero}
-			d[4] = logic.Word{Zero: a[4].One & bb[4].One, One: a[4].Zero | bb[4].Zero}
-			d[5] = logic.Word{Zero: a[5].One & bb[5].One, One: a[5].Zero | bb[5].Zero}
-			d[6] = logic.Word{Zero: a[6].One & bb[6].One, One: a[6].Zero | bb[6].Zero}
-			d[7] = logic.Word{Zero: a[7].One & bb[7].One, One: a[7].Zero | bb[7].Zero}
-		case opOr2:
-			bb := (*[8]logic.Word)(vals[int(ins.b)*8:])
-			d[0] = logic.Word{Zero: a[0].Zero & bb[0].Zero, One: a[0].One | bb[0].One}
-			d[1] = logic.Word{Zero: a[1].Zero & bb[1].Zero, One: a[1].One | bb[1].One}
-			d[2] = logic.Word{Zero: a[2].Zero & bb[2].Zero, One: a[2].One | bb[2].One}
-			d[3] = logic.Word{Zero: a[3].Zero & bb[3].Zero, One: a[3].One | bb[3].One}
-			d[4] = logic.Word{Zero: a[4].Zero & bb[4].Zero, One: a[4].One | bb[4].One}
-			d[5] = logic.Word{Zero: a[5].Zero & bb[5].Zero, One: a[5].One | bb[5].One}
-			d[6] = logic.Word{Zero: a[6].Zero & bb[6].Zero, One: a[6].One | bb[6].One}
-			d[7] = logic.Word{Zero: a[7].Zero & bb[7].Zero, One: a[7].One | bb[7].One}
-		case opNor2:
-			bb := (*[8]logic.Word)(vals[int(ins.b)*8:])
-			d[0] = logic.Word{Zero: a[0].One | bb[0].One, One: a[0].Zero & bb[0].Zero}
-			d[1] = logic.Word{Zero: a[1].One | bb[1].One, One: a[1].Zero & bb[1].Zero}
-			d[2] = logic.Word{Zero: a[2].One | bb[2].One, One: a[2].Zero & bb[2].Zero}
-			d[3] = logic.Word{Zero: a[3].One | bb[3].One, One: a[3].Zero & bb[3].Zero}
-			d[4] = logic.Word{Zero: a[4].One | bb[4].One, One: a[4].Zero & bb[4].Zero}
-			d[5] = logic.Word{Zero: a[5].One | bb[5].One, One: a[5].Zero & bb[5].Zero}
-			d[6] = logic.Word{Zero: a[6].One | bb[6].One, One: a[6].Zero & bb[6].Zero}
-			d[7] = logic.Word{Zero: a[7].One | bb[7].One, One: a[7].Zero & bb[7].Zero}
-		case opXor2:
-			bb := (*[8]logic.Word)(vals[int(ins.b)*8:])
-			d[0] = logic.Word{Zero: a[0].Zero&bb[0].Zero | a[0].One&bb[0].One, One: a[0].Zero&bb[0].One | a[0].One&bb[0].Zero}
-			d[1] = logic.Word{Zero: a[1].Zero&bb[1].Zero | a[1].One&bb[1].One, One: a[1].Zero&bb[1].One | a[1].One&bb[1].Zero}
-			d[2] = logic.Word{Zero: a[2].Zero&bb[2].Zero | a[2].One&bb[2].One, One: a[2].Zero&bb[2].One | a[2].One&bb[2].Zero}
-			d[3] = logic.Word{Zero: a[3].Zero&bb[3].Zero | a[3].One&bb[3].One, One: a[3].Zero&bb[3].One | a[3].One&bb[3].Zero}
-			d[4] = logic.Word{Zero: a[4].Zero&bb[4].Zero | a[4].One&bb[4].One, One: a[4].Zero&bb[4].One | a[4].One&bb[4].Zero}
-			d[5] = logic.Word{Zero: a[5].Zero&bb[5].Zero | a[5].One&bb[5].One, One: a[5].Zero&bb[5].One | a[5].One&bb[5].Zero}
-			d[6] = logic.Word{Zero: a[6].Zero&bb[6].Zero | a[6].One&bb[6].One, One: a[6].Zero&bb[6].One | a[6].One&bb[6].Zero}
-			d[7] = logic.Word{Zero: a[7].Zero&bb[7].Zero | a[7].One&bb[7].One, One: a[7].Zero&bb[7].One | a[7].One&bb[7].Zero}
-		case opXnor2:
-			bb := (*[8]logic.Word)(vals[int(ins.b)*8:])
-			d[0] = logic.Word{Zero: a[0].Zero&bb[0].One | a[0].One&bb[0].Zero, One: a[0].Zero&bb[0].Zero | a[0].One&bb[0].One}
-			d[1] = logic.Word{Zero: a[1].Zero&bb[1].One | a[1].One&bb[1].Zero, One: a[1].Zero&bb[1].Zero | a[1].One&bb[1].One}
-			d[2] = logic.Word{Zero: a[2].Zero&bb[2].One | a[2].One&bb[2].Zero, One: a[2].Zero&bb[2].Zero | a[2].One&bb[2].One}
-			d[3] = logic.Word{Zero: a[3].Zero&bb[3].One | a[3].One&bb[3].Zero, One: a[3].Zero&bb[3].Zero | a[3].One&bb[3].One}
-			d[4] = logic.Word{Zero: a[4].Zero&bb[4].One | a[4].One&bb[4].Zero, One: a[4].Zero&bb[4].Zero | a[4].One&bb[4].One}
-			d[5] = logic.Word{Zero: a[5].Zero&bb[5].One | a[5].One&bb[5].Zero, One: a[5].Zero&bb[5].Zero | a[5].One&bb[5].One}
-			d[6] = logic.Word{Zero: a[6].Zero&bb[6].One | a[6].One&bb[6].Zero, One: a[6].Zero&bb[6].Zero | a[6].One&bb[6].One}
-			d[7] = logic.Word{Zero: a[7].Zero&bb[7].One | a[7].One&bb[7].Zero, One: a[7].Zero&bb[7].Zero | a[7].One&bb[7].One}
+// exec8 runs one same-opcode stretch on 8-word slots.
+func exec8(vals [][8]logic.Word, op opcode, run []instr) {
+	switch op {
+	case opBuf:
+		for _, in := range run {
+			vals[in.dst] = vals[in.a]
 		}
-		if flags[ins.dst] != 0 {
-			e.fix(int(ins.dst))
+	case opNot:
+		for _, in := range run {
+			d, a := &vals[in.dst], &vals[in.a]
+			d[0] = a[0].Not()
+			d[1] = a[1].Not()
+			d[2] = a[2].Not()
+			d[3] = a[3].Not()
+			d[4] = a[4].Not()
+			d[5] = a[5].Not()
+			d[6] = a[6].Not()
+			d[7] = a[7].Not()
+		}
+	case opAnd2:
+		for _, in := range run {
+			d, a, b := &vals[in.dst], &vals[in.a], &vals[in.b]
+			d[0] = a[0].And(b[0])
+			d[1] = a[1].And(b[1])
+			d[2] = a[2].And(b[2])
+			d[3] = a[3].And(b[3])
+			d[4] = a[4].And(b[4])
+			d[5] = a[5].And(b[5])
+			d[6] = a[6].And(b[6])
+			d[7] = a[7].And(b[7])
+		}
+	case opNand2:
+		for _, in := range run {
+			d, a, b := &vals[in.dst], &vals[in.a], &vals[in.b]
+			d[0] = a[0].Nand(b[0])
+			d[1] = a[1].Nand(b[1])
+			d[2] = a[2].Nand(b[2])
+			d[3] = a[3].Nand(b[3])
+			d[4] = a[4].Nand(b[4])
+			d[5] = a[5].Nand(b[5])
+			d[6] = a[6].Nand(b[6])
+			d[7] = a[7].Nand(b[7])
+		}
+	case opOr2:
+		for _, in := range run {
+			d, a, b := &vals[in.dst], &vals[in.a], &vals[in.b]
+			d[0] = a[0].Or(b[0])
+			d[1] = a[1].Or(b[1])
+			d[2] = a[2].Or(b[2])
+			d[3] = a[3].Or(b[3])
+			d[4] = a[4].Or(b[4])
+			d[5] = a[5].Or(b[5])
+			d[6] = a[6].Or(b[6])
+			d[7] = a[7].Or(b[7])
+		}
+	case opNor2:
+		for _, in := range run {
+			d, a, b := &vals[in.dst], &vals[in.a], &vals[in.b]
+			d[0] = a[0].Nor(b[0])
+			d[1] = a[1].Nor(b[1])
+			d[2] = a[2].Nor(b[2])
+			d[3] = a[3].Nor(b[3])
+			d[4] = a[4].Nor(b[4])
+			d[5] = a[5].Nor(b[5])
+			d[6] = a[6].Nor(b[6])
+			d[7] = a[7].Nor(b[7])
+		}
+	case opXor2:
+		for _, in := range run {
+			d, a, b := &vals[in.dst], &vals[in.a], &vals[in.b]
+			d[0] = a[0].Xor(b[0])
+			d[1] = a[1].Xor(b[1])
+			d[2] = a[2].Xor(b[2])
+			d[3] = a[3].Xor(b[3])
+			d[4] = a[4].Xor(b[4])
+			d[5] = a[5].Xor(b[5])
+			d[6] = a[6].Xor(b[6])
+			d[7] = a[7].Xor(b[7])
+		}
+	case opXnor2:
+		for _, in := range run {
+			d, a, b := &vals[in.dst], &vals[in.a], &vals[in.b]
+			d[0] = a[0].Xnor(b[0])
+			d[1] = a[1].Xnor(b[1])
+			d[2] = a[2].Xnor(b[2])
+			d[3] = a[3].Xnor(b[3])
+			d[4] = a[4].Xnor(b[4])
+			d[5] = a[5].Xnor(b[5])
+			d[6] = a[6].Xnor(b[6])
+			d[7] = a[7].Xnor(b[7])
 		}
 	}
+}
+
+// execWide runs instructions of one opcode at any width: slot s
+// occupies arena[s*w:(s+1)*w].
+func execWide(arena []logic.Word, w int, op opcode, run []instr) {
+	switch op {
+	case opBuf:
+		for _, in := range run {
+			copy(arena[int(in.dst)*w:int(in.dst+1)*w], arena[int(in.a)*w:])
+		}
+	case opNot:
+		for _, in := range run {
+			d, a, _ := operands(arena, w, in)
+			for k := range w {
+				d[k] = a[k].Not()
+			}
+		}
+	case opAnd2:
+		for _, in := range run {
+			d, a, b := operands(arena, w, in)
+			for k := range w {
+				d[k] = a[k].And(b[k])
+			}
+		}
+	case opNand2:
+		for _, in := range run {
+			d, a, b := operands(arena, w, in)
+			for k := range w {
+				d[k] = a[k].Nand(b[k])
+			}
+		}
+	case opOr2:
+		for _, in := range run {
+			d, a, b := operands(arena, w, in)
+			for k := range w {
+				d[k] = a[k].Or(b[k])
+			}
+		}
+	case opNor2:
+		for _, in := range run {
+			d, a, b := operands(arena, w, in)
+			for k := range w {
+				d[k] = a[k].Nor(b[k])
+			}
+		}
+	case opXor2:
+		for _, in := range run {
+			d, a, b := operands(arena, w, in)
+			for k := range w {
+				d[k] = a[k].Xor(b[k])
+			}
+		}
+	case opXnor2:
+		for _, in := range run {
+			d, a, b := operands(arena, w, in)
+			for k := range w {
+				d[k] = a[k].Xnor(b[k])
+			}
+		}
+	}
+}
+
+// operands returns the w-word value slices of in's destination and
+// operands, each with length and capacity w so indexing below w needs
+// no bounds checks.
+func operands(vals []logic.Word, w int, in instr) (d, a, b []logic.Word) {
+	di, ai, bi := int(in.dst)*w, int(in.a)*w, int(in.b)*w
+	return vals[di : di+w : di+w], vals[ai : ai+w : ai+w], vals[bi : bi+w : bi+w]
 }
 
 // fix patches an injected node right after its final instruction: a pin

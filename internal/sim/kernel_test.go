@@ -241,30 +241,112 @@ func TestKernelSetWidth(t *testing.T) {
 	be.SetWidth(9)
 }
 
-// TestCompileShape pins the decomposition contract: every instruction
-// is two-input, wide gates chain through the scratch slot, and the
-// instruction count is gate count plus fold steps.
+// TestCompileShape pins the decomposition: every gate lowers to one
+// two-input instruction per fold step, and a purely narrow circuit
+// needs no temporary slots.
 func TestCompileShape(t *testing.T) {
 	c := wideConstCircuit(t)
 	p := Compile(c)
 	if p.Circuit() != c {
 		t.Fatal("Circuit() mismatch")
 	}
-	wantExtra := 0
-	for _, n := range c.EvalOrder() {
-		if f := len(c.Nodes[n].Fanin); f > 2 {
-			wantExtra += f - 2
-		}
+	if got, want := p.NumInstrs(), len(c.EvalOrder())+foldSteps(c); got != want {
+		t.Errorf("instrs = %d, want %d gates + %d fold steps", got, len(c.EvalOrder()), foldSteps(c))
 	}
-	if got := p.NumInstrs(); got != len(c.EvalOrder())+wantExtra {
-		t.Errorf("instrs = %d, want %d gates + %d fold steps", got, len(c.EvalOrder()), wantExtra)
-	}
-	if p.NumSlots() != c.NumNodes()+1 {
-		t.Errorf("slots = %d, want %d (one scratch)", p.NumSlots(), c.NumNodes()+1)
-	}
-	// A purely narrow circuit needs no scratch slot.
 	narrow := Compile(samples.ShiftReg(4))
 	if narrow.NumSlots() != samples.ShiftReg(4).NumNodes() {
 		t.Errorf("narrow slots = %d, want node count", narrow.NumSlots())
+	}
+}
+
+// foldSteps counts the extra instructions wide gates decompose into.
+func foldSteps(c *circuit.Circuit) int {
+	n := 0
+	for _, g := range c.EvalOrder() {
+		if f := len(c.Nodes[g].Fanin); f > 2 {
+			n += f - 2
+		}
+	}
+	return n
+}
+
+// TestKernelCompileContract pins what the scheduled program promises
+// the executor: every operand slot is written before it is read, every
+// gate node exactly once; the runs are maximal same-opcode stretches
+// covering the stream exactly once; the instruction count is gates plus
+// fold steps; and temporary slots are recycled, so the program needs
+// only as many as are ever live at once.
+func TestKernelCompileContract(t *testing.T) {
+	s1423, ok := gen.RosterCircuit("s1423")
+	if !ok {
+		t.Fatal("unknown roster circuit s1423")
+	}
+	for _, c := range append(kernelTestCircuits(t), s1423) {
+		p := Compile(c)
+		nn := c.NumNodes()
+		if got, want := len(p.instrs), len(c.EvalOrder())+foldSteps(c); got != want {
+			t.Errorf("%s: %d instructions, want %d", c.Name, got, want)
+		}
+		start := int32(0)
+		for k, r := range p.runs {
+			if r.end <= start || (k > 0 && p.runs[k-1].op == r.op) {
+				t.Fatalf("%s: run %d [%d, %d) %v is empty or not maximal", c.Name, k, start, r.end, r.op)
+			}
+			start = r.end
+		}
+		if int(start) != len(p.instrs) {
+			t.Fatalf("%s: runs cover %d of %d instructions", c.Name, start, len(p.instrs))
+		}
+
+		written := make([]bool, p.nslots)
+		for n := 0; n < nn; n++ {
+			written[n] = c.IsSource(n)
+		}
+		gateWrites := make([]int, nn)
+		live, peak := 0, 0 // temporaries holding an unread value
+		start = 0
+		for _, r := range p.runs {
+			for _, in := range p.instrs[start:r.end] {
+				reads := []int32{in.a, in.b}
+				if r.op == opBuf || r.op == opNot {
+					reads = reads[:1]
+				}
+				for _, x := range reads {
+					if !written[x] {
+						t.Fatalf("%s: slot %d read before it is written", c.Name, x)
+					}
+					if int(x) >= nn {
+						written[x] = false // each temporary is read exactly once
+						live--
+					}
+				}
+				if int(in.dst) < nn {
+					gateWrites[in.dst]++
+					written[in.dst] = true
+					continue
+				}
+				if written[in.dst] {
+					t.Fatalf("%s: temporary slot %d overwritten before it is read", c.Name, in.dst)
+				}
+				written[in.dst] = true
+				live++
+				peak = max(peak, live)
+			}
+			start = r.end
+		}
+		for _, g := range c.EvalOrder() {
+			if gateWrites[g] != 1 {
+				t.Errorf("%s: gate %s written %d times", c.Name, c.Nodes[g].Name, gateWrites[g])
+			}
+		}
+		if temps := p.nslots - nn; temps != peak {
+			t.Errorf("%s: %d temporary slots for a peak of %d live temporaries", c.Name, temps, peak)
+		}
+	}
+	// The wide fixture has seven fold chains; recycling must share slots
+	// among them.
+	c := wideConstCircuit(t)
+	if temps := Compile(c).NumSlots() - c.NumNodes(); temps >= foldSteps(c) {
+		t.Errorf("wide: %d temporary slots for %d fold steps, want fewer", temps, foldSteps(c))
 	}
 }

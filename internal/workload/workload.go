@@ -62,9 +62,9 @@ type Config struct {
 	// (fsim.Simulator.SetWorkers): 0 keeps runs serial, negative selects
 	// runtime.NumCPU(). Results are identical for any value.
 	Workers int
-	// BatchWords sets the compiled-kernel batch width in words
-	// (fsim.Simulator.SetBatchWords): 0 keeps the fsim default, 1 forces
-	// the interpreter engine. Results are identical for any value.
+	// BatchWords sets the maximum compiled-kernel batch width in words
+	// (fsim.Simulator.SetBatchWords): 0 keeps the fsim default, 1 runs
+	// every pass one word wide. Results are identical for any value.
 	BatchWords int
 	// Order selects the fault simulation order: "adi" (default, the
 	// accidental-detection-index order of arXiv:0710.4637, installed via
