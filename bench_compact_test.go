@@ -5,29 +5,25 @@ import (
 	"encoding/json"
 	"math/rand"
 	"os"
-	"runtime"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/adi"
-	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/fsim"
 	"repro/internal/gen"
 	"repro/internal/logic"
 	"repro/internal/scan"
 	"repro/internal/vecomit"
-	"repro/internal/workload"
 )
 
 // benchCompactArm is one measured compaction configuration of the
 // Table 3 pipeline. Phase timings and engine stats are summed over the
 // roster and over both proposed arms (directed and random T_0).
 type benchCompactArm struct {
-	Ledger    bool `json:"ledger"`
-	Speculate int  `json:"speculate"`
-	Workers   int  `json:"workers"`
+	Ledger     bool `json:"ledger"`
+	SpecWindow int  `json:"speculate"`
+	Workers    int  `json:"workers"`
 
 	Seconds         float64 `json:"seconds"`          // full pipeline wall-clock
 	Phase1Seconds   float64 `json:"phase1_seconds"`   // scan-in/out selection
@@ -42,7 +38,7 @@ type benchCompactArm struct {
 	StaticAttempts        int `json:"static_attempts"`         // committed combination trials
 	StaticShortCircuits   int `json:"static_short_circuits"`   // combinations committed without simulation
 	StaticFaultsSimulated int `json:"static_faults_simulated"` // fault slots across all Phase 4 trials
-	SpecDiscarded         int `json:"spec_discarded"`          // speculative trials discarded after an earlier accept
+	Discarded             int `json:"spec_discarded"`          // speculative trials discarded after an earlier accept
 }
 
 // benchCompactTable3 compares the detection-ledger engines against the
@@ -92,7 +88,11 @@ type benchCompactXL struct {
 	IdenticalResult    bool                `json:"identical_result"`
 }
 
-// benchCompactReport is the schema of BENCH_compact.json.
+// benchCompactReport is the schema of BENCH_compact.json. The file is a
+// record: the pre-ledger engines and the speculative trial window its
+// arms measured have since been deleted, along with the harness that
+// wrote it (the tables those arms produced live on in the ledger golden
+// files of vecomit, scomp, dyncomp, core and workload).
 type benchCompactReport struct {
 	Date      string             `json:"date"`
 	GoVersion string             `json:"go_version"`
@@ -100,185 +100,6 @@ type benchCompactReport struct {
 	Workload  string             `json:"workload"`
 	Table3    benchCompactTable3 `json:"table3"`
 	XL        benchCompactXL     `json:"xl"`
-}
-
-// compactRoster is the Table 3 subset the compaction benchmark runs
-// on: the mid-size and large circuits, where the per-trial risk sets
-// span multiple simulation passes and ledger pruning translates into
-// wall-clock (on the small circuits every trial costs one pass no
-// matter how many faults the ledger excludes; s35932 is where the
-// legacy engine's ever-growing conservative risk set hurts most).
-var compactRoster = []string{"s1423", "s5378", "b04", "s35932"}
-
-// compactCfg skips the [2,3] dynamic baseline — it has no Phase 2-4 and
-// would dominate the measurement on these circuits.
-func compactCfg() workload.Config {
-	return workload.Config{T0MaxLen: 120, RandomT0Len: 500, SkipDynamic: true}
-}
-
-// compactBenchArm runs the Table 3 pipeline once under cfg and folds
-// the per-run phase timings and engine stats into a benchCompactArm.
-func compactBenchArm(t *testing.T, noLedger bool, speculate, workers int) (benchCompactArm, string) {
-	t.Helper()
-	cfg := compactCfg()
-	cfg.NoLedger = noLedger
-	cfg.Speculate = speculate
-	cfg.Workers = workers
-	start := time.Now()
-	runs, err := workload.RunAll(compactRoster, cfg, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := benchCompactArm{
-		Ledger:    !noLedger,
-		Speculate: speculate,
-		Workers:   workers,
-		Seconds:   time.Since(start).Seconds(),
-	}
-	for _, r := range runs {
-		for _, res := range []*core.Result{r.Proposed, r.ProposedRand} {
-			if res == nil {
-				continue
-			}
-			a.Phase1Seconds += res.Timings.Phase1.Seconds()
-			a.Phase2Seconds += res.Timings.Phase2.Seconds()
-			a.Phase3Seconds += res.Timings.Phase3.Seconds()
-			a.Phase4Seconds += res.Timings.Phase4.Seconds()
-			a.OmitChecks += res.OmitStats.Checks
-			a.OmitFreeRemovals += res.OmitStats.FreeRemovals
-			a.OmitFaultsSimulated += res.OmitStats.FaultsSimulated
-			a.StaticAttempts += res.StaticStats.Attempts
-			a.StaticShortCircuits += res.StaticStats.ShortCircuits
-			a.StaticFaultsSimulated += res.StaticStats.FaultsSimulated
-			a.SpecDiscarded += res.OmitStats.SpecDiscarded + res.StaticStats.SpecDiscarded
-		}
-	}
-	a.Phase234Seconds = a.Phase2Seconds + a.Phase3Seconds + a.Phase4Seconds
-	rows := workload.Rows(runs)
-	return a, workload.AllTables(rows) + workload.TableUniverse(rows).Render()
-}
-
-// TestEmitBenchCompactJSON measures the detection-ledger compaction
-// engines against the pre-ledger serial loops and writes
-// BENCH_compact.json. Gated behind BENCH_COMPACT_JSON=1: it runs the
-// Table 3 pipeline five times plus an ISCAS-scale omission arm.
-func TestEmitBenchCompactJSON(t *testing.T) {
-	if os.Getenv("BENCH_COMPACT_JSON") == "" {
-		t.Skip("set BENCH_COMPACT_JSON=1 to measure and rewrite BENCH_compact.json")
-	}
-	rep := benchCompactReport{
-		Date:      time.Now().UTC().Format("2006-01-02"),
-		GoVersion: runtime.Version(),
-		CPUs:      runtime.NumCPU(),
-		Workload:  "Table 3 pipeline (workload.RunAll: directed T_0 capped at 120, random T_0 of 500 vectors, dynamic baseline skipped) + ledger-population grading and Phase 2 omission of one random scan test on gen.XLRoster",
-	}
-
-	// --- Table 3 pipeline arms ---
-	rep.Table3.Roster = compactRoster
-	type setting struct {
-		noLedger  bool
-		speculate int
-		workers   int
-	}
-	settings := []setting{
-		{true, 0, 1},  // baseline: pre-ledger serial loops
-		{false, 0, 1}, // ledger, serial trials (the acceptance arm)
-		{false, 4, 1}, // ledger + speculative trials
-		{false, 0, 4}, // identity checks at a parallel worker count
-		{false, 4, 4},
-	}
-	var tables []string
-	for _, s := range settings {
-		a, tab := compactBenchArm(t, s.noLedger, s.speculate, s.workers)
-		rep.Table3.Arms = append(rep.Table3.Arms, a)
-		tables = append(tables, tab)
-		t.Logf("table3 ledger=%v speculate=%d workers=%d: %.2fs total, phases %.2f/%.2f/%.2f/%.2f, omit %d checks (%d free, %d slots), static %d attempts (%d short, %d slots), %d spec discarded",
-			a.Ledger, a.Speculate, a.Workers, a.Seconds,
-			a.Phase1Seconds, a.Phase2Seconds, a.Phase3Seconds, a.Phase4Seconds,
-			a.OmitChecks, a.OmitFreeRemovals, a.OmitFaultsSimulated,
-			a.StaticAttempts, a.StaticShortCircuits, a.StaticFaultsSimulated, a.SpecDiscarded)
-	}
-	rep.Table3.IdenticalTables = true
-	rep.Table3.IdentitySettings = len(settings)
-	for i := 1; i < len(tables); i++ {
-		if tables[i] != tables[0] {
-			rep.Table3.IdenticalTables = false
-			t.Errorf("tables differ between baseline and arm %d (%+v)", i, settings[i])
-		}
-	}
-	base, fast := rep.Table3.Arms[0], rep.Table3.Arms[1]
-	rep.Table3.Phase234Speedup = base.Phase234Seconds / fast.Phase234Seconds
-	baseSlots := base.OmitFaultsSimulated + base.StaticFaultsSimulated
-	fastSlots := fast.OmitFaultsSimulated + fast.StaticFaultsSimulated
-	rep.Table3.TrialsSaved = 1 - float64(fastSlots)/float64(baseSlots)
-	if rep.Table3.Phase234Speedup < 1.5 {
-		t.Errorf("phase 2-4 speedup %.2fx below the 1.5x acceptance", rep.Table3.Phase234Speedup)
-	}
-	if fastSlots >= baseSlots {
-		t.Errorf("ledger arm simulated %d fault slots, baseline %d: no work saved", fastSlots, baseSlots)
-	}
-
-	// --- XL section: ledger population cost + omission arms on the
-	// ISCAS-scale circuit ---
-	s, test, keep := xlOmissionCase(t)
-	rep.XL = benchCompactXL{
-		Circuit:  xlOmissionCircuit,
-		Vectors:  len(test.Seq),
-		Faults:   s.NumFaults(),
-		Detected: keep.Count(),
-	}
-	// xlOmissionCase graded the test once already, so the good-machine
-	// trace cache is warm for both timed passes.
-	start := time.Now()
-	det := s.DetectTest(test.SI, test.Seq, nil)
-	rep.XL.GradeSeconds = time.Since(start).Seconds()
-	start = time.Now()
-	rec := s.RecordTest(test.SI, test.Seq, nil)
-	rep.XL.RecordSeconds = time.Since(start).Seconds()
-	rep.XL.RecordOverhead = rep.XL.RecordSeconds/rep.XL.GradeSeconds - 1
-	rep.XL.IdenticalDetection = rec.Detected().Equal(det) && det.Equal(keep)
-	t.Logf("xl grading: detect %.2fs, record %.2fs, overhead %.1f%%, identical=%v",
-		rep.XL.GradeSeconds, rep.XL.RecordSeconds, 100*rep.XL.RecordOverhead, rep.XL.IdenticalDetection)
-	if !rep.XL.IdenticalDetection {
-		t.Error("xl: RecordTest and DetectTest disagree on the detected set")
-	}
-	if rep.XL.RecordOverhead > 0.25 {
-		t.Errorf("xl: ledger population overhead %.1f%% above the 25%% by-product bound",
-			100*rep.XL.RecordOverhead)
-	}
-	var outs []scan.Test
-	for _, noLedger := range []bool{true, false} {
-		start := time.Now()
-		out, st := vecomit.CompactTest(s, test, keep, vecomit.Options{NoLedger: noLedger})
-		a := benchCompactXLArm{
-			Ledger:          !noLedger,
-			Seconds:         time.Since(start).Seconds(),
-			Removed:         st.Removed,
-			Checks:          st.Checks,
-			FreeRemovals:    st.FreeRemovals,
-			FaultsSimulated: st.FaultsSimulated,
-		}
-		rep.XL.Arms = append(rep.XL.Arms, a)
-		outs = append(outs, out)
-		t.Logf("xl ledger=%v: %.2fs, %d removed, %d checks (%d free), %d fault slots",
-			a.Ledger, a.Seconds, a.Removed, a.Checks, a.FreeRemovals, a.FaultsSimulated)
-	}
-	rep.XL.IdenticalResult = outs[0].SI.Equal(outs[1].SI) && seqEqual(outs[0].Seq, outs[1].Seq)
-	if !rep.XL.IdenticalResult {
-		t.Error("xl: ledger and legacy omission produced different tests")
-	}
-	if rep.XL.Arms[1].FaultsSimulated > rep.XL.Arms[0].FaultsSimulated {
-		t.Errorf("xl: ledger simulated %d fault slots, legacy %d: ledger did extra work",
-			rep.XL.Arms[1].FaultsSimulated, rep.XL.Arms[0].FaultsSimulated)
-	}
-
-	out, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_compact.json", append(out, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestBenchCompactJSONSchema validates the checked-in BENCH_compact.json:
@@ -310,13 +131,13 @@ func TestBenchCompactJSONSchema(t *testing.T) {
 			t.Errorf("table3: incomplete arm %+v", *a)
 		}
 		switch {
-		case !a.Ledger && a.Speculate == 0 && a.Workers == 1:
+		case !a.Ledger && a.SpecWindow == 0 && a.Workers == 1:
 			base = a
-		case a.Ledger && a.Speculate == 0 && a.Workers == 1:
+		case a.Ledger && a.SpecWindow == 0 && a.Workers == 1:
 			fast = a
 		}
-		if !a.Ledger && a.SpecDiscarded != 0 {
-			t.Errorf("table3: no-ledger arm recorded %d discarded speculative trials", a.SpecDiscarded)
+		if !a.Ledger && a.Discarded != 0 {
+			t.Errorf("table3: no-ledger arm recorded %d discarded speculative trials", a.Discarded)
 		}
 	}
 	if base == nil || fast == nil {
@@ -393,50 +214,6 @@ func TestBenchCompactJSONSchema(t *testing.T) {
 	}
 }
 
-func seqEqual(a, b logic.Sequence) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if !a[i].Equal(b[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// --- ISCAS-scale omission fixture (shared with BenchmarkLedgerOmission) ---
-
-const xlOmissionCircuit = "s35932xl"
-
-// xlOmissionCase builds the Phase 2 omission workload on the
-// ISCAS-scale circuit: collapsed faults under ADI order, one random
-// scan test, and its own detected set as the coverage to preserve.
-func xlOmissionCase(t testing.TB) (*fsim.Simulator, scan.Test, *fault.Set) {
-	t.Helper()
-	c, ok := gen.RosterCircuit(xlOmissionCircuit)
-	if !ok {
-		t.Fatalf("unknown roster circuit %q", xlOmissionCircuit)
-	}
-	faults := fault.Collapse(c)
-	s := fsim.New(c, faults)
-	adi.Install(s, adi.Options{Seed: 7})
-	r := rand.New(rand.NewSource(7))
-	si := make(logic.Vector, c.NumFFs())
-	for i := range si {
-		si[i] = logic.Value(r.Intn(2))
-	}
-	seq := make(logic.Sequence, 48)
-	for u := range seq {
-		seq[u] = make(logic.Vector, c.NumPIs())
-		for i := range seq[u] {
-			seq[u][i] = logic.Value(r.Intn(2))
-		}
-	}
-	keep := s.DetectTest(si, seq, nil)
-	return s, scan.Test{SI: si, Seq: seq}, keep
-}
-
 // ledgerOmissionFixture memoizes the omission benchmark inputs on a
 // mid-size roster circuit so the benchmark (and the CI smoke run at
 // -benchtime 1x) times only the omission loop.
@@ -480,30 +257,20 @@ func omissionSetup(b *testing.B) *ledgerOmissionFixture {
 }
 
 // BenchmarkLedgerOmission times Phase 2 vector omission with the
-// detection ledger against the legacy full re-grading loop on one
-// random scan test of a mid-size circuit. The compacted result must be
-// identical; only the simulated fault slots differ. CI runs this once
-// (-benchtime 1x) as a smoke check that both paths stay live.
+// detection ledger on one random scan test of a mid-size circuit. CI
+// runs this once (-benchtime 1x) as a smoke check.
 func BenchmarkLedgerOmission(b *testing.B) {
-	for _, arm := range []struct {
-		name     string
-		noLedger bool
-	}{
-		{"ledger", false},
-		{"legacy", true},
-	} {
-		b.Run(arm.name, func(b *testing.B) {
-			fx := omissionSetup(b)
-			b.ResetTimer()
-			var removed int
-			for i := 0; i < b.N; i++ {
-				out, st := vecomit.CompactTest(fx.sim, fx.test, fx.keep, vecomit.Options{NoLedger: arm.noLedger})
-				if len(out.Seq) >= len(fx.test.Seq) && st.Removed > 0 {
-					b.Fatal("omission reported removals without shortening the test")
-				}
-				removed = st.Removed
+	b.Run("ledger", func(b *testing.B) {
+		fx := omissionSetup(b)
+		b.ResetTimer()
+		var removed int
+		for i := 0; i < b.N; i++ {
+			out, st := vecomit.CompactTest(fx.sim, fx.test, fx.keep, vecomit.Options{})
+			if len(out.Seq) >= len(fx.test.Seq) && st.Removed > 0 {
+				b.Fatal("omission reported removals without shortening the test")
 			}
-			b.ReportMetric(float64(removed), "removed")
-		})
-	}
+			removed = st.Removed
+		}
+		b.ReportMetric(float64(removed), "removed")
+	})
 }

@@ -47,8 +47,6 @@ func main() {
 	check := flag.Bool("check", false, "audit every run against the scalar reference simulator (sampled; slower)")
 	checkSample := flag.Int("checksample", 0, "faults re-simulated per audit direction (0 = default, -1 = all)")
 	universe := flag.Bool("universe", false, "also print the uncollapsed-universe coverage extension table")
-	noLedger := flag.Bool("noledger", false, "disable the detection-ledger fast paths in the compaction engines (tables are identical; slower)")
-	speculate := flag.Int("speculate", 0, "concurrent trial evaluations per compaction commit step (<=1 = serial; tables are identical)")
 	cacheDir := flag.String("cache", "", "artifact cache directory (empty = no caching)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -75,8 +73,6 @@ func main() {
 		Uncollapsed: !*collapse,
 		Check:       *check,
 		CheckSample: *checkSample,
-		NoLedger:    *noLedger,
-		Speculate:   *speculate,
 	}
 	if *workers == 0 {
 		cfg.Workers = -1 // NumCPU

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/golden"
 	"repro/internal/workload"
 )
 
@@ -35,25 +36,7 @@ func TestGoldenTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := render(runs)
-	path := filepath.Join("testdata", "tables.golden")
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("golden file updated (%d bytes)", len(got))
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden file (run with -update to create): %v", err)
-	}
-	if got != string(want) {
-		t.Errorf("table output drifted from golden file; run with -update if intentional\n--- got ---\n%s\n--- want ---\n%s", got, want)
-	}
+	golden.Check(t, filepath.Join("testdata", "tables.golden"), render(runs), *update)
 }
 
 // TestGoldenTablesWithCheck re-runs the golden workload with the oracle

@@ -77,24 +77,9 @@ type Options struct {
 	// uniform stride, so the pool stays representative.
 	SICandidateLimit int
 
-	// NoLedger disables the detection-ledger fast paths everywhere this
-	// run drives them: the Phase 2 and Phase 4 engines fall back to
-	// their pre-ledger loops, Phase 4 is not seeded with the τ_seq
-	// record, and the final coverage accounting re-grades every test
-	// cold. Every table, detected set and N_cyc is byte-identical either
-	// way; only the simulation cost differs (BENCH_compact.json measures
-	// the gap).
-	NoLedger bool
-	// Speculate is the number of concurrent trial evaluations the
-	// Phase 2 and Phase 4 engines may run (<= 1 = serial). Results are
-	// bit-identical at every setting.
-	Speculate int
-
-	// Omit configures the Phase 2 engine. Options.NoLedger/Speculate
-	// above are folded in by withDefaults (explicit per-engine settings
-	// win).
+	// Omit configures the Phase 2 engine.
 	Omit vecomit.Options
-	// Static configures the Phase 4 engine (same folding rule).
+	// Static configures the Phase 4 engine.
 	Static scomp.Options
 
 	// Audit, when non-nil, is called with the completed Result before Run
@@ -118,14 +103,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.SIScoreSample == 0 {
 		o.SIScoreSample = 1008
-	}
-	o.Omit.NoLedger = o.Omit.NoLedger || o.NoLedger
-	o.Static.NoLedger = o.Static.NoLedger || o.NoLedger
-	if o.Omit.Speculate == 0 {
-		o.Omit.Speculate = o.Speculate
-	}
-	if o.Static.Speculate == 0 {
-		o.Static.Speculate = o.Speculate
 	}
 	return o
 }
@@ -217,9 +194,6 @@ func Run(s *fsim.Simulator, C []atpg.CombTest, T0 logic.Sequence, opt Options) (
 	var best scan.Test
 	var bestDet *fault.Set
 	var bestRec *fsim.Record
-	// The τ_seq record is only worth keeping when the ledger-backed
-	// Phase 4 can be seeded with it.
-	useLedgerP4 := !opt.Static.NoLedger && !opt.SkipStaticCompaction
 
 	for iter := 0; iter < opt.MaxIterations; iter++ {
 		p1start := time.Now()
@@ -303,10 +277,11 @@ func Run(s *fsim.Simulator, C []atpg.CombTest, T0 logic.Sequence, opt Options) (
 		}
 		// The full-universe grading of τ_C doubles as its ledger record:
 		// recording rides the same early-exit passes, and the record of
-		// the winning iteration seeds Phase 4's ledger row for τ_seq.
+		// the winning iteration seeds Phase 4's ledger row for τ_seq (so
+		// it is only kept when Phase 4 runs).
 		var fc *fault.Set
 		var fcRec *fsim.Record
-		if useLedgerP4 {
+		if !opt.SkipStaticCompaction {
 			fcRec = s.RecordTest(tc.SI, tc.Seq, nil)
 			fc = fcRec.Detected()
 		} else {
@@ -369,21 +344,13 @@ func Run(s *fsim.Simulator, C []atpg.CombTest, T0 logic.Sequence, opt Options) (
 		return res, nil
 	}
 	p4start := time.Now()
-	var final *scan.Set
+	// Seed the combiner's ledger with the τ_seq record the iteration
+	// loop already paid for (test 0 of the initial set); the Phase 3
+	// additions are graded by the combiner itself.
+	staticOpt := opt.Static
+	staticOpt.InitialRecords = []*fsim.Record{bestRec}
 	var led *fsim.Ledger
-	if opt.Static.NoLedger {
-		final, res.StaticStats = scomp.Compact(s, res.Initial, opt.Static)
-	} else {
-		// Seed the combiner's ledger with the τ_seq record the iteration
-		// loop already paid for (test 0 of the initial set); the Phase 3
-		// additions are graded by the combiner itself.
-		staticOpt := opt.Static
-		if bestRec != nil {
-			staticOpt.InitialRecords = []*fsim.Record{bestRec}
-		}
-		final, led, res.StaticStats = scomp.CompactWithLedger(s, res.Initial, staticOpt)
-	}
-	res.Final = final
+	res.Final, led, res.StaticStats = scomp.CompactWithLedger(s, res.Initial, staticOpt)
 	res.FinalDetected = fault.NewSet(nf)
 	// Drop-on-detect: the union only needs each fault detected once, so
 	// faults covered by earlier tests are excluded from the remaining
@@ -392,17 +359,12 @@ func Run(s *fsim.Simulator, C []atpg.CombTest, T0 logic.Sequence, opt Options) (
 	// often empties — each test's remaining target set; the computed
 	// union is identical to the cold re-grade.
 	rest := allFaults(nf)
-	for i, t := range final.Tests {
-		var credited *fault.Set
-		if led != nil && led.Row(i) != nil {
-			credited = rest.Clone()
-			credited.IntersectWith(led.Row(i).Detected())
-			rest.SubtractWith(credited)
-		}
+	for i, t := range res.Final.Tests {
+		credited := rest.Clone()
+		credited.IntersectWith(led.Row(i).Detected())
+		rest.SubtractWith(credited)
 		got := s.DetectTest(t.SI, t.Seq, rest)
-		if credited != nil {
-			got.UnionWith(credited)
-		}
+		got.UnionWith(credited)
 		res.FinalDetected.UnionWith(got)
 		rest.SubtractWith(got)
 	}

@@ -1,84 +1,71 @@
 package core
 
 import (
+	"flag"
 	"fmt"
+	"path/filepath"
+	"strings"
 	"testing"
 
+	"repro/internal/fault"
+	"repro/internal/golden"
+	"repro/internal/scan"
 	"repro/internal/scomp"
 )
 
-// TestLedgerEquivalence is the whole-flow arm of the byte-identity
-// contract: a full Run with the detection ledger on — serial and
-// speculative, at any worker count, with and without transfer
-// sequences — produces exactly the result of the pre-ledger run: the
-// same τ_seq, the same initial and final test sets, the same detected
-// sets and the same cycle counts.
-func TestLedgerEquivalence(t *testing.T) {
-	for _, seed := range []int64{101, 107} {
-		for _, xferLen := range []int{0, 4} {
-			fx := newFixture(t, seed)
-			ref, err := Run(fx.s, fx.C, fx.t0.Seq, Options{
-				NoLedger: true,
-				Static:   scomp.Options{TransferLen: xferLen, Seed: 404},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
+// The golden file was frozen from the retired pre-ledger engines and
+// confirmed on the ledger engines before those were deleted; -update
+// regenerates it from the ledger engines at one worker.
+var update = flag.Bool("update", false, "rewrite the testdata golden files")
 
-			for _, workers := range []int{1, 4} {
-				for _, spec := range []int{0, 3} {
-					name := fmt.Sprintf("seed=%d xfer=%d workers=%d spec=%d",
-						seed, xferLen, workers, spec)
-					fx.s.SetWorkers(workers)
-					res, err := Run(fx.s, fx.C, fx.t0.Seq, Options{
-						Speculate: spec,
-						Static:    scomp.Options{TransferLen: xferLen, Seed: 404},
-					})
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					if !res.SeqDetected.Equal(ref.SeqDetected) ||
-						res.TauSeq.Len() != ref.TauSeq.Len() ||
-						!res.TauSeq.SI.Equal(ref.TauSeq.SI) {
-						t.Fatalf("%s: tau_seq differs from pre-ledger run", name)
-					}
-					for _, pair := range []struct {
-						which    string
-						got, ref int
-					}{
-						{"initial tests", res.Initial.NumTests(), ref.Initial.NumTests()},
-						{"final tests", res.Final.NumTests(), ref.Final.NumTests()},
-						{"initial cycles", res.Initial.Cycles(fx.nsv), ref.Initial.Cycles(fx.nsv)},
-						{"final cycles", res.Final.Cycles(fx.nsv), ref.Final.Cycles(fx.nsv)},
-					} {
-						if pair.got != pair.ref {
-							t.Fatalf("%s: %s = %d, want %d", name, pair.which, pair.got, pair.ref)
-						}
-					}
-					if !res.InitialDetected.Equal(ref.InitialDetected) ||
-						!res.FinalDetected.Equal(ref.FinalDetected) {
-						t.Fatalf("%s: detected sets differ from pre-ledger run", name)
-					}
-					for i := range res.Final.Tests {
-						if !res.Final.Tests[i].SI.Equal(ref.Final.Tests[i].SI) ||
-							res.Final.Tests[i].Len() != ref.Final.Tests[i].Len() {
-							t.Fatalf("%s: final test %d differs", name, i)
-						}
-						for u := range res.Final.Tests[i].Seq {
-							if !res.Final.Tests[i].Seq[u].Equal(ref.Final.Tests[i].Seq[u]) {
-								t.Fatalf("%s: final test %d vector %d differs", name, i, u)
-							}
-						}
-					}
-					if res.OmitStats.Removed != ref.OmitStats.Removed ||
-						res.StaticStats.Combined != ref.StaticStats.Combined ||
-						res.StaticStats.Attempts != ref.StaticStats.Attempts {
-						t.Fatalf("%s: committed-trial stats differ: omit %+v/%+v static %+v/%+v",
-							name, res.OmitStats, ref.OmitStats, res.StaticStats, ref.StaticStats)
-					}
+// TestLedgerEquivalence is the whole-flow arm of the byte-identity
+// contract: a full Run on the detection-ledger engines, at any worker
+// count, with and without transfer sequences, reproduces the golden
+// file exactly: the same τ_seq, the same initial and final test sets,
+// the same detected sets and the same committed-trial counts of
+// Phases 2 and 4.
+func TestLedgerEquivalence(t *testing.T) {
+	run := func(workers int) string {
+		var sb strings.Builder
+		for _, seed := range []int64{101, 107} {
+			for _, xferLen := range []int{0, 4} {
+				fx := newFixture(t, seed)
+				fx.s.SetWorkers(workers)
+				res, err := Run(fx.s, fx.C, fx.t0.Seq, Options{
+					Static: scomp.Options{TransferLen: xferLen, Seed: 404},
+				})
+				if err != nil {
+					t.Fatalf("seed=%d xfer=%d workers=%d: %v", seed, xferLen, workers, err)
 				}
+				om, sc := res.OmitStats, res.StaticStats
+				fmt.Fprintf(&sb, "# case seed=%d xfer=%d\n", seed, xferLen)
+				fmt.Fprintf(&sb, "# omit removed=%d trials=%d\n", om.Removed, om.Checks+om.FreeRemovals)
+				fmt.Fprintf(&sb, "# static combined=%d attempts=%d rounds=%d transfer_combined=%d transfer_vectors=%d\n",
+					sc.Combined, sc.Attempts, sc.Rounds, sc.TransferCombined, sc.TransferVectors)
+				for _, d := range []struct {
+					name string
+					set  *fault.Set
+				}{
+					{"seq", res.SeqDetected},
+					{"initial", res.InitialDetected},
+					{"final", res.FinalDetected},
+				} {
+					fmt.Fprintf(&sb, "# detected %s %v\n", d.name, d.set.Indices())
+				}
+				sb.WriteString("# tau_seq\n" + scan.WriteSetString(scan.NewSet(res.TauSeq)))
+				sb.WriteString("# initial\n" + scan.WriteSetString(res.Initial))
+				sb.WriteString("# final\n" + scan.WriteSetString(res.Final))
 			}
-			fx.s.SetWorkers(1)
 		}
+		return sb.String()
+	}
+
+	path := filepath.Join("testdata", t.Name()+".golden")
+	if *update {
+		golden.Check(t, path, run(1), true)
+		return
+	}
+	for _, workers := range []int{1, 4} {
+		golden.Check(t, path, run(workers), false)
 	}
 }

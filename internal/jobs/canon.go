@@ -100,10 +100,8 @@ func CircuitDigest(c *circuit.Circuit) string {
 // ConfigFingerprint hashes the result-affecting fields of a pipeline
 // config under the given effective seed. Fields that are proven not to
 // change any artifact byte — Workers, BatchWords, Order (pass packing
-// only), NoLedger/Speculate (simulation scheduling only; the ledger
-// differential suites pin the byte-identity), Check/CheckSample
-// (observation only), Progress — are excluded, so e.g. a serial
-// pre-ledger run and an 8-worker speculative run share one cache entry.
+// only), Check/CheckSample (observation only), Progress — are excluded,
+// so e.g. a serial run and an 8-worker run share one cache entry.
 // The "v2" prefix retired the version-1 summary.json bundles (they lack
 // the universe-coverage fields).
 func ConfigFingerprint(cfg workload.Config, seed int64) string {

@@ -151,11 +151,26 @@ func (s *Store) saveIndexLocked() error {
 	if err != nil {
 		return err
 	}
-	tmp := s.indexPath() + ".tmp"
-	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
+	// A private temporary name: another store sharing the directory may
+	// be saving its index at the same moment.
+	f, err := os.CreateTemp(s.dir, "index.json.tmp-*")
+	if err != nil {
 		return err
 	}
-	return os.Rename(tmp, s.indexPath())
+	err = f.Chmod(0o644)
+	if err == nil {
+		_, err = f.Write(append(data, '\n'))
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), s.indexPath())
+	}
+	if err != nil {
+		os.Remove(f.Name())
+	}
+	return err
 }
 
 // Get returns the bundle for key, or (nil, false) on a miss. A hit
@@ -206,25 +221,30 @@ func (s *Store) Contains(key Key) bool {
 }
 
 // Put stores a bundle under key, evicting least-recently-used bundles
-// if the byte budget would be exceeded. Storing an existing key
-// replaces the bundle (the bytes are identical by construction, so this
-// is a recency refresh in practice). A bundle larger than the whole
-// budget is not stored at all — the store never evicts everything else
-// just to fail anyway.
+// if the byte budget would be exceeded. Bundles are content-addressed,
+// so when the key's object directory already exists — stored earlier,
+// or concurrently by another store sharing the directory — the new copy
+// is discarded and Put only refreshes the key's recency. A bundle larger
+// than the whole budget is not stored at all — the store never evicts
+// everything else just to fail anyway.
 func (s *Store) Put(key Key, a *Artifacts) error {
 	size := a.Size()
 	if s.budget > 0 && size > s.budget {
 		return nil // over-budget bundle: serve from memory, don't cache
 	}
 	dir := s.objectDir(key)
-	tmp := dir + ".tmp"
 	if err := os.MkdirAll(filepath.Dir(dir), 0o755); err != nil {
 		return fmt.Errorf("jobs: store put: %v", err)
 	}
-	if err := os.RemoveAll(tmp); err != nil {
+	// Write into a private temporary directory and rename it into place,
+	// so concurrent Puts never share a name and readers never see a
+	// partial bundle.
+	tmp, err := os.MkdirTemp(filepath.Dir(dir), filepath.Base(dir)+".tmp-*")
+	if err != nil {
 		return fmt.Errorf("jobs: store put: %v", err)
 	}
-	if err := os.MkdirAll(tmp, 0o755); err != nil {
+	defer os.RemoveAll(tmp) // no-op once renamed
+	if err := os.Chmod(tmp, 0o755); err != nil {
 		return fmt.Errorf("jobs: store put: %v", err)
 	}
 	for name, data := range a.Files {
@@ -235,16 +255,13 @@ func (s *Store) Put(key Key, a *Artifacts) error {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	k := key.String()
-	delete(s.entries, k) // replacing an existing key drops its old accounting
-	if err := os.RemoveAll(dir); err != nil {
-		return fmt.Errorf("jobs: store put: %v", err)
-	}
 	if err := os.Rename(tmp, dir); err != nil {
-		return fmt.Errorf("jobs: store put: %v", err)
+		if st, serr := os.Stat(dir); serr != nil || !st.IsDir() {
+			return fmt.Errorf("jobs: store put: %v", err)
+		}
 	}
 	s.seq++
-	s.entries[k] = &storeEntry{Seq: s.seq, Size: size}
+	s.entries[key.String()] = &storeEntry{Seq: s.seq, Size: size}
 	s.puts++
 	if s.budget > 0 {
 		s.evictLocked()

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 )
 
@@ -163,4 +165,85 @@ func TestStoreRebuildsWithoutIndex(t *testing.T) {
 
 func removeIndex(dir string) error {
 	return os.Remove(filepath.Join(dir, "index.json"))
+}
+
+// TestStoreSharedDirectory runs two stores on one directory, the way
+// two processes share a -cache DIR, and has both Put the same key
+// concurrently while also reading it back. Every Put and Get must
+// succeed with the original bytes, and no temporary file or directory
+// may be left behind.
+func TestStoreSharedDirectory(t *testing.T) {
+	dir := t.TempDir()
+	var stores [2]*Store
+	for i := range stores {
+		s, err := OpenStore(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stores[i] = s
+	}
+	k := testKey(7)
+	a := &Artifacts{Files: map[string][]byte{
+		"summary.json": []byte(`{"v":2}`),
+		"t0.txt":       []byte("0101\n1100\n"),
+	}}
+
+	const writers, puts = 8, 25
+	errs := make(chan error, 2*writers*puts)
+	var wg sync.WaitGroup
+	for _, s := range stores {
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func(s *Store) {
+				defer wg.Done()
+				for p := 0; p < puts; p++ {
+					if err := s.Put(k, a); err != nil {
+						errs <- err
+						continue
+					}
+					got, ok, err := s.Get(k)
+					switch {
+					case err != nil:
+						errs <- err
+					case !ok:
+						errs <- fmt.Errorf("Get after Put missed")
+					case !bytes.Equal(got.Files["t0.txt"], a.Files["t0.txt"]):
+						errs <- fmt.Errorf("Get returned %q", got.Files["t0.txt"])
+					}
+				}
+			}(s)
+		}
+	}
+	wg.Wait()
+	close(errs)
+	failed := 0
+	for err := range errs {
+		if failed < 3 {
+			t.Error(err)
+		}
+		failed++
+	}
+	if failed > 0 {
+		t.Fatalf("%d of %d operations failed", failed, 2*2*writers*puts)
+	}
+
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if strings.Contains(d.Name(), ".tmp") {
+			t.Errorf("temporary left behind: %s", path)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := OpenStore(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, ok, err := reopened.Get(k); err != nil || !ok || len(got.Files) != 2 {
+		t.Fatalf("reopened store: ok=%v err=%v", ok, err)
+	}
 }

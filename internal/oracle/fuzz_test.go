@@ -66,10 +66,12 @@ func TestFuzzEncodeRoundtrip(t *testing.T) {
 
 // FuzzDifferential cross-checks fsim against the oracle on fuzzer-shaped
 // circuits and tests, in both standard and Potential mode, serial and
-// with a worker pool, and then runs Phase 2 vector omission over the
-// detection-ledger, legacy and speculative paths — every configuration
-// must produce the byte-identical compacted test. Any byte string is a
-// valid input; the decoder guarantees a well-formed netlist.
+// with a worker pool, and then runs Phase 2 vector omission serially and
+// with a worker pool: the oracle must confirm the compacted test still
+// detects every fault the original did, both runs must produce the
+// byte-identical test, and Removed must equal the drop in length. Any
+// byte string is a valid input; the decoder guarantees a well-formed
+// netlist.
 func FuzzDifferential(f *testing.F) {
 	for _, c := range corpusCircuits() {
 		if data, err := EncodeFuzz(c, corpusTest(c, 6)); err == nil {
@@ -104,35 +106,28 @@ func FuzzDifferential(f *testing.F) {
 			}
 		}
 
-		// Compaction differential: omission must commit the identical
-		// removals whether the risk sets come from the legacy profile or
-		// the detection ledger, and whether trials are evaluated serially
-		// or speculatively.
-		fs := fsim.New(c, faults)
-		keep := fs.DetectTest(tst.SI, tst.Seq, nil)
-		ref, refSt := vecomit.CompactTest(fs, tst, keep, vecomit.Options{NoLedger: true})
-		for _, opt := range []vecomit.Options{
-			{},
-			{Speculate: 3},
-			{NoLedger: true, Speculate: 3},
-		} {
-			got, st := vecomit.CompactTest(fs, tst, keep, opt)
-			if len(got.Seq) != len(ref.Seq) {
-				t.Fatalf("%+v: compacted length %d, legacy serial %d", opt, len(got.Seq), len(ref.Seq))
+		// Compaction check: Phase 2 vector omission must keep every
+		// fault of keep detected according to the oracle, produce the
+		// identical test at every worker count, and report exactly the
+		// removals it made.
+		var ref scan.Test
+		for _, workers := range []int{1, 4} {
+			fs := fsim.New(c, faults).SetWorkers(workers)
+			keep := fs.DetectTest(tst.SI, tst.Seq, nil)
+			got, st := vecomit.CompactTest(fs, tst, keep, vecomit.Options{})
+			if after := orc.DetectTest(got.SI, got.Seq, nil); !after.ContainsAll(keep) {
+				t.Fatalf("workers=%d: oracle says the compacted test lost coverage", workers)
 			}
-			for u := range got.Seq {
-				if !got.Seq[u].Equal(ref.Seq[u]) {
-					t.Fatalf("%+v: compacted vector %d differs from legacy serial", opt, u)
-				}
+			if st.Removed != len(tst.Seq)-len(got.Seq) {
+				t.Fatalf("workers=%d: Removed = %d, but the test shrank from %d to %d vectors",
+					workers, st.Removed, len(tst.Seq), len(got.Seq))
 			}
-			// The ledger's exact risk set can be empty where the legacy
-			// superset is not, trading a Check for a FreeRemoval; the
-			// removal count and the trial total are invariant.
-			if st.Removed != refSt.Removed ||
-				st.Checks+st.FreeRemovals != refSt.Checks+refSt.FreeRemovals {
-				t.Fatalf("%+v: committed stats differ: %d removed/%d trials, legacy serial %d/%d",
-					opt, st.Removed, st.Checks+st.FreeRemovals,
-					refSt.Removed, refSt.Checks+refSt.FreeRemovals)
+			if workers == 1 {
+				ref = got
+				continue
+			}
+			if scan.WriteSetString(scan.NewSet(got)) != scan.WriteSetString(scan.NewSet(ref)) {
+				t.Fatalf("workers=%d: compacted test differs from workers=1", workers)
 			}
 		}
 	})

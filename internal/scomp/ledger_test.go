@@ -1,8 +1,11 @@
 package scomp
 
 import (
+	"flag"
 	"fmt"
 	"math/rand"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/adi"
@@ -10,6 +13,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/fsim"
 	"repro/internal/gen"
+	"repro/internal/golden"
 	"repro/internal/logic"
 	"repro/internal/scan"
 )
@@ -39,69 +43,56 @@ func ledgerFixture(tb testing.TB, seed int64, ntests int) (*gen.Params, *scan.Se
 	return &p, ts
 }
 
-func setsIdentical(a, b *scan.Set) bool {
-	if len(a.Tests) != len(b.Tests) {
-		return false
-	}
-	for k := range a.Tests {
-		if !a.Tests[k].SI.Equal(b.Tests[k].SI) || len(a.Tests[k].Seq) != len(b.Tests[k].Seq) {
-			return false
-		}
-		for u := range a.Tests[k].Seq {
-			if !a.Tests[k].Seq[u].Equal(b.Tests[k].Seq[u]) {
-				return false
-			}
-		}
-	}
-	return true
-}
+// The golden files were frozen from the retired pre-ledger engine and
+// confirmed on the ledger engine before that engine was deleted;
+// -update regenerates them from the ledger engine at one worker.
+var update = flag.Bool("update", false, "rewrite the testdata golden files")
 
 // TestLedgerEquivalence is the scomp arm of the byte-identity contract:
-// the ledger engine — serial and speculative, at any worker count, with
-// and without transfer sequences and with the simulation order
-// re-ranked between rounds — combines exactly the pairs the pre-ledger
-// engine combines, in the same order, producing an identical test set.
+// the ledger engine — at any worker count, with and without transfer
+// sequences and with the simulation order re-ranked between rounds —
+// combines exactly the pairs recorded in the golden file, in the same
+// order, producing an identical test set and identical committed-trial
+// counts. Every returned ledger is re-verified against a fresh
+// simulator, and the ledger short-circuit must fire somewhere.
 func TestLedgerEquivalence(t *testing.T) {
 	totalShort := 0
-	for _, seed := range []int64{5, 11} {
-		for _, xferLen := range []int{0, 3} {
-			p, ts := ledgerFixture(t, seed, 12)
-			c := gen.MustGenerate(*p)
-			faults := fault.Collapse(c)
+	run := func(workers int, ordered bool) string {
+		var sb strings.Builder
+		for _, seed := range []int64{5, 11} {
+			for _, xferLen := range []int{0, 3} {
+				p, ts := ledgerFixture(t, seed, 12)
+				c := gen.MustGenerate(*p)
+				faults := fault.Collapse(c)
+				name := fmt.Sprintf("seed=%d xfer=%d", seed, xferLen)
 
-			sref := fsim.New(c, faults)
-			ref, refSt := Compact(sref, ts, Options{TransferLen: xferLen, NoLedger: true})
-
-			for _, workers := range []int{1, 4} {
-				for _, spec := range []int{0, 3} {
-					for _, ordered := range []bool{false, true} {
-						name := fmt.Sprintf("seed=%d xfer=%d workers=%d spec=%d adi=%v",
-							seed, xferLen, workers, spec, ordered)
-						s := fsim.New(c, faults).SetWorkers(workers)
-						if ordered {
-							adi.Install(s, adi.Options{Seed: 7})
-						}
-						entry := s.Order()
-						out, led, st := CompactWithLedger(s, ts,
-							Options{TransferLen: xferLen, Speculate: spec})
-						if !setsIdentical(out, ref) {
-							t.Fatalf("%s: ledger set differs from pre-ledger path (%d vs %d tests)",
-								name, out.NumTests(), ref.NumTests())
-						}
-						if st.Combined != refSt.Combined || st.Attempts != refSt.Attempts ||
-							st.Rounds != refSt.Rounds ||
-							st.TransferCombined != refSt.TransferCombined ||
-							st.TransferVectors != refSt.TransferVectors {
-							t.Fatalf("%s: committed-trial stats differ: %+v vs %+v", name, st, refSt)
-						}
-						if got := s.Order(); (got == nil) != (entry == nil) {
-							t.Fatalf("%s: entry simulation order not restored", name)
-						}
-						verifyLedger(t, name, c, faults, out, led)
-						totalShort += st.ShortCircuits
-					}
+				s := fsim.New(c, faults).SetWorkers(workers)
+				if ordered {
+					adi.Install(s, adi.Options{Seed: 7})
 				}
+				entry := s.Order()
+				out, led, st := CompactWithLedger(s, ts, Options{TransferLen: xferLen})
+				if got := s.Order(); (got == nil) != (entry == nil) {
+					t.Fatalf("%s workers=%d adi=%v: entry simulation order not restored", name, workers, ordered)
+				}
+				verifyLedger(t, name, c, faults, out, led)
+				totalShort += st.ShortCircuits
+				fmt.Fprintf(&sb, "# case %s\n# combined=%d attempts=%d rounds=%d transfer_combined=%d transfer_vectors=%d\n",
+					name, st.Combined, st.Attempts, st.Rounds, st.TransferCombined, st.TransferVectors)
+				sb.WriteString(scan.WriteSetString(out))
 			}
+		}
+		return sb.String()
+	}
+
+	path := filepath.Join("testdata", t.Name()+".golden")
+	if *update {
+		golden.Check(t, path, run(1, false), true)
+		return
+	}
+	for _, workers := range []int{1, 4} {
+		for _, ordered := range []bool{false, true} {
+			golden.Check(t, path, run(workers, ordered), false)
 		}
 	}
 	if totalShort == 0 {
@@ -169,7 +160,7 @@ func TestLedgerInitialRecords(t *testing.T) {
 		}
 	}
 	out, led, st := CompactWithLedger(s, ts, Options{InitialRecords: recs})
-	if !setsIdentical(out, ref) {
+	if scan.WriteSetString(out) != scan.WriteSetString(ref) {
 		t.Fatal("seeded run produced a different set")
 	}
 	if st.Combined != refSt.Combined || st.Attempts != refSt.Attempts {

@@ -2,12 +2,13 @@ package workload
 
 import (
 	"flag"
-	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/golden"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite the golden tables file")
+var updateGolden = flag.Bool("update", false, "rewrite the testdata golden files")
 
 // TestGoldenTables pins the full table output of the small test roster
 // bit-for-bit: the entire pipeline is seeded, so any diff means a
@@ -16,23 +17,5 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden tables file")
 // accept an intentional change.
 func TestGoldenTables(t *testing.T) {
 	runs := smallRuns(t)
-	got := AllTables(Rows(runs))
-	path := filepath.Join("testdata", "golden_tables.txt")
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("golden file updated (%d bytes)", len(got))
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden file (run with -update to create): %v", err)
-	}
-	if got != string(want) {
-		t.Errorf("table output drifted from golden file; run with -update if intentional\n--- got ---\n%s\n--- want ---\n%s", got, want)
-	}
+	golden.Check(t, filepath.Join("testdata", "golden_tables.txt"), AllTables(Rows(runs)), *updateGolden)
 }

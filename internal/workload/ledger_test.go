@@ -2,61 +2,45 @@ package workload
 
 import (
 	"fmt"
+	"path/filepath"
 	"testing"
+
+	"repro/internal/golden"
 )
 
-// TestLedgerInvariance is the pipeline-level guarantee behind the
-// -noledger/-speculate flags: the detection-ledger engines and the
-// speculative trial evaluation only change how the compaction loops
-// schedule simulation, so every rendered table — including the
-// universe-coverage extension — must be byte-identical to the
-// pre-ledger serial run, under full and partial scan, at any worker
-// count. This is the workload arm of the byte-identity contract; the
-// per-engine arms live in vecomit, scomp, dyncomp and core.
+// TestLedgerInvariance is the workload arm of the byte-identity
+// contract: every rendered table of a pipeline run on the detection-
+// ledger engines — including the universe-coverage extension — matches
+// the golden file, under full and partial scan, at any worker count.
+// The golden files were frozen from the retired pre-ledger engines and
+// confirmed on the ledger engines before those were deleted; -update
+// regenerates them from the ledger engines at one worker. The per-engine
+// arms live in vecomit, scomp, dyncomp and core.
 func TestLedgerInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full pipeline runs")
 	}
-	base := Config{T0MaxLen: 80, RandomT0Len: 150}
 	for _, name := range []string{"b01"} {
 		for _, scanFFs := range []int{0, 3} {
 			name, scanFFs := name, scanFFs
 			t.Run(fmt.Sprintf("%s/scanffs=%d", name, scanFFs), func(t *testing.T) {
 				t.Parallel()
-				cfg := base
-				cfg.ScanFFs = scanFFs
-				cfg.NoLedger = true
-				ref, err := RunByName(name, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				render := func(r *CircuitRun) string {
-					rows := Rows([]*CircuitRun{r})
-					return AllTables(rows) + TableUniverse(rows).Render()
-				}
-				want := render(ref)
-
-				for _, arm := range []struct {
-					workers   int
-					speculate int
-				}{
-					{1, 0},
-					{4, 0},
-					{1, 4},
-					{4, 4},
-				} {
-					cfg := base
-					cfg.ScanFFs = scanFFs
-					cfg.Workers = arm.workers
-					cfg.Speculate = arm.speculate
+				render := func(workers int) string {
+					cfg := Config{T0MaxLen: 80, RandomT0Len: 150, ScanFFs: scanFFs, Workers: workers}
 					run, err := RunByName(name, cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if got := render(run); got != want {
-						t.Errorf("workers=%d speculate=%d: tables differ from pre-ledger baseline\n--- want ---\n%s--- got ---\n%s",
-							arm.workers, arm.speculate, want, got)
-					}
+					rows := Rows([]*CircuitRun{run})
+					return AllTables(rows) + TableUniverse(rows).Render()
+				}
+				path := filepath.Join("testdata", fmt.Sprintf("ledger_%s_scanffs%d.golden", name, scanFFs))
+				if *updateGolden {
+					golden.Check(t, path, render(1), true)
+					return
+				}
+				for _, workers := range []int{1, 4} {
+					golden.Check(t, path, render(workers), false)
 				}
 			})
 		}

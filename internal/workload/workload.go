@@ -90,16 +90,6 @@ type Config struct {
 	// join the scan chain (0 or >= the FF count keeps full scan). The
 	// chain threads through ATPG, the simulator and the oracle audit.
 	ScanFFs int
-	// NoLedger disables the detection-ledger fast paths in every
-	// compaction engine the pipeline drives (T_0 conditioning, the [4]
-	// and [2,3] baselines, and core's Phases 2 and 4). Every table,
-	// detected set and N_cyc is identical either way; the switch is the
-	// "before" arm of BENCH_compact.json.
-	NoLedger bool
-	// Speculate is the number of concurrent trial evaluations the
-	// compaction engines may run per commit step (<= 1 = serial).
-	// Results are identical at every setting.
-	Speculate int
 	// SkipBaselines skips the [4] static-compaction baselines and the
 	// dynamic baseline (the proposed-procedure-only mode the scancompact
 	// CLI uses).
@@ -152,10 +142,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Core.MaxIterations == 0 {
 		c.Core.MaxIterations = 5
-	}
-	c.Core.NoLedger = c.Core.NoLedger || c.NoLedger
-	if c.Core.Speculate == 0 {
-		c.Core.Speculate = c.Speculate
 	}
 	return c
 }
@@ -283,7 +269,7 @@ func runPipeline(ckt *circuit.Circuit, entry gen.RosterEntry, seed int64, cfg Co
 			switch cfg.T0Compactor {
 			case "", "omit":
 				t0c, _ = vecomit.CompactSequence(s, t0res.Seq, t0res.Detected,
-					vecomit.Options{MaxPasses: 1, NoLedger: cfg.NoLedger, Speculate: cfg.Speculate})
+					vecomit.Options{MaxPasses: 1})
 			case "restore":
 				t0c, _ = restore.Compact(s, t0res.Seq, t0res.Detected, restore.Options{})
 			case "none":
@@ -301,11 +287,9 @@ func runPipeline(ckt *circuit.Circuit, entry gen.RosterEntry, seed int64, cfg Co
 	if !cfg.SkipBaselines {
 		progress("baselines")
 		run.Base4Init = scomp.FromCombTests(comb.Tests)
-		run.Base4Comp, _ = scomp.Compact(s, run.Base4Init,
-			scomp.Options{NoLedger: cfg.NoLedger, Speculate: cfg.Speculate})
+		run.Base4Comp, _ = scomp.Compact(s, run.Base4Init, scomp.Options{})
 		if !cfg.SkipDynamic {
-			run.BaseDyn, _ = dyncomp.Compact(s, comb.Tests,
-				dyncomp.Options{NoLedger: cfg.NoLedger, Speculate: cfg.Speculate})
+			run.BaseDyn, _ = dyncomp.Compact(s, comb.Tests, dyncomp.Options{})
 		}
 	}
 
