@@ -25,6 +25,11 @@ import (
 // first, so the program falls into long runs of one opcode and the
 // kernel dispatches once per run instead of once per instruction. Any
 // topological order computes the same values, so scheduling is exact.
+//
+// Compile also records where a BatchEngine can patch faults in without
+// extra instructions: per gate pin, the operand(s) reading that fanin,
+// and per gate, the fix point where its output value may be forced or
+// copied (see fixPoints).
 
 // opcode identifies one dual-rail word operation of the compiled
 // program. All binary opcodes take exactly two operands; wide gates are
@@ -61,27 +66,50 @@ type opRun struct {
 }
 
 // Program is a compiled circuit: the scheduled instruction stream, its
-// same-opcode runs, and the slot geometry a BatchEngine needs to
-// allocate its value arena. A Program is immutable after Compile and
-// safe for concurrent use.
+// same-opcode runs, the slot geometry a BatchEngine needs to allocate
+// its value arena, and the injection map (pin references and fix
+// points) a BatchEngine patches faults through. A Program is immutable
+// after Compile and safe for concurrent use.
 type Program struct {
 	c      *circuit.Circuit
 	instrs []instr
 	runs   []opRun
+	latch  []instr // per flip-flop (scan order): a = b = its D fanin, read by ClockFF
 	pos    []int32 // per node: index of the instruction writing it, -1 for sources
+	fix    []int32 // per node: its fix point (see fixPoints), -1 for sources
+	pinOff []int32 // per node: index of its pin 0 in pins (len NumNodes+1)
+	pins   []int32 // per (node, pin): pinRef of the operand(s) reading that fanin
 	nslots int     // NumNodes + compiler temporaries
 	const0 []int32 // Const0 node slots, driven before every evaluation
 	const1 []int32 // Const1 node slots
 }
+
+// A pinRef names where a gate or flip-flop reads one of its fanins:
+// entry index i<<2 | b, where b has bit 0 set if operand a reads the
+// fanin and bit 1 if operand b does. Indices below NumInstrs are
+// stream instructions; index NumInstrs+k is latch[k], the D-pin read of
+// flip-flop k.
+const (
+	refA     = 1
+	refB     = 2
+	refShift = 2
+)
 
 // Compile lowers c into a straight-line dual-rail program. The
 // instruction stream evaluates every combinational node after its
 // fanins; sources (PIs, DFF outputs, constants) are arena slots written
 // by the BatchEngine before execution.
 func Compile(c *circuit.Circuit) *Program {
-	p := &Program{c: c, nslots: c.NumNodes(), pos: make([]int32, c.NumNodes())}
+	p := &Program{
+		c:      c,
+		nslots: c.NumNodes(),
+		pos:    make([]int32, c.NumNodes()),
+		fix:    make([]int32, c.NumNodes()),
+		pinOff: make([]int32, c.NumNodes()+1),
+	}
 	for i := range c.Nodes {
-		p.pos[i] = -1
+		p.pos[i], p.fix[i] = -1, -1
+		p.pinOff[i+1] = p.pinOff[i] + int32(len(c.Nodes[i].Fanin))
 		switch c.Nodes[i].Kind {
 		case circuit.Const0:
 			p.const0 = append(p.const0, int32(i))
@@ -89,7 +117,8 @@ func Compile(c *circuit.Circuit) *Program {
 			p.const1 = append(p.const1, int32(i))
 		}
 	}
-	ops, ins, ntemp := lower(c)
+	p.pins = make([]int32, p.pinOff[c.NumNodes()])
+	ops, ins, ntemp := lower(c, p.pinOff, p.pins)
 	order := schedule(c.NumNodes(), ops, ins, ntemp)
 	p.instrs = make([]instr, 0, len(ins))
 	// Fold temporaries are renamed onto recycled arena slots: each is
@@ -97,6 +126,7 @@ func Compile(c *circuit.Circuit) *Program {
 	phys := make([]int32, ntemp)
 	var free []int32
 	nn := int32(c.NumNodes())
+	at := make([]int32, len(ins)) // lowered index -> scheduled index
 	for _, i := range order {
 		in := ins[i]
 		for _, x := range []*int32{&in.a, &in.b} {
@@ -120,24 +150,68 @@ func Compile(c *circuit.Circuit) *Program {
 		if k := len(p.runs); k == 0 || p.runs[k-1].op != ops[i] {
 			p.runs = append(p.runs, opRun{op: ops[i]})
 		}
+		at[i] = int32(len(p.instrs))
 		p.instrs = append(p.instrs, in)
 		p.runs[len(p.runs)-1].end = int32(len(p.instrs))
 	}
+	for _, g := range c.EvalOrder() {
+		for k := p.pinOff[g]; k < p.pinOff[g+1]; k++ {
+			r := p.pins[k]
+			p.pins[k] = at[r>>refShift]<<refShift | r&(refA|refB)
+		}
+	}
+	for k, ff := range c.DFFs {
+		d := int32(c.Nodes[ff].Fanin[0])
+		p.latch = append(p.latch, instr{dst: int32(ff), a: d, b: d})
+		p.pins[p.pinOff[ff]] = int32(len(p.instrs)+k)<<refShift | refA | refB
+	}
+	p.fixPoints()
 	return p
+}
+
+// fixPoints sets each gate's fix point: the stream position at which an
+// injection on the gate's output, or a copy of it into a branch slot,
+// is applied. That is the first instruction after the gate's own that
+// reads it within the same run, or the end of the run when none does:
+// no instruction between the gate and its fix point reads it, so the
+// kernel only has to split a run where a patched value is consumed
+// inside it.
+func (p *Program) fixPoints() {
+	nn := int32(len(p.pos))
+	start := int32(0)
+	for _, r := range p.runs {
+		run := p.instrs[start:r.end]
+		for i, in := range run {
+			for _, x := range [2]int32{in.a, in.b} {
+				if x < nn && p.pos[x] >= start && p.fix[x] < 0 {
+					p.fix[x] = start + int32(i)
+				}
+			}
+		}
+		for _, in := range run {
+			if in.dst < nn && p.fix[in.dst] < 0 {
+				p.fix[in.dst] = r.end
+			}
+		}
+		start = r.end
+	}
 }
 
 // lower decomposes every gate of c, in topological order, into
 // two-input instructions. Fold temporaries get unique virtual slots
 // NumNodes+k, k < ntemp; unary instructions repeat a in b so every
-// operand names a real slot.
-func lower(c *circuit.Circuit) (ops []opcode, ins []instr, ntemp int) {
+// operand names a real slot. Each gate pin's pinRef goes to
+// pins[pinOff[gate]+pin], indexing the lowered instructions.
+func lower(c *circuit.Circuit, pinOff, pins []int32) (ops []opcode, ins []instr, ntemp int) {
 	emit := func(op opcode, dst, a, b int32) {
 		ops = append(ops, op)
 		ins = append(ins, instr{dst: dst, a: a, b: b})
 	}
+	ref := func(bits int32) int32 { return int32(len(ins)-1)<<refShift | bits }
 	for _, n := range c.EvalOrder() {
 		nd := &c.Nodes[n]
 		fan := nd.Fanin
+		pin := pins[pinOff[n]:pinOff[n+1]]
 		dst := int32(n)
 		var fold, final opcode
 		switch nd.Kind {
@@ -168,16 +242,23 @@ func lower(c *circuit.Circuit) (ops []opcode, ins []instr, ntemp int) {
 				op = opNot
 			}
 			emit(op, dst, int32(fan[0]), int32(fan[0]))
+			pin[0] = ref(refA | refB)
 			continue
 		}
+		// Step i-1 of the fold reads fanin i as operand b; step 0 also
+		// reads fanin 0 as operand a.
 		cur := int32(fan[0])
-		for i := 1; i < len(fan)-1; i++ {
-			t := int32(c.NumNodes() + ntemp)
-			ntemp++
-			emit(fold, t, cur, int32(fan[i]))
+		for i := 1; i < len(fan); i++ {
+			op, t := final, dst
+			if i < len(fan)-1 {
+				op, t = fold, int32(c.NumNodes()+ntemp)
+				ntemp++
+			}
+			emit(op, t, cur, int32(fan[i]))
+			pin[i] = ref(refB)
 			cur = t
 		}
-		emit(final, dst, cur, int32(fan[len(fan)-1]))
+		pin[0] = pin[1]&^refB | refA
 	}
 	return ops, ins, ntemp
 }

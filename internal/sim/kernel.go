@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"unsafe"
 
@@ -13,24 +15,36 @@ import (
 // 64*W slots of a BatchEngine. Pin == -1 forces the output of Node (a
 // stem fault); Pin >= 0 forces the value Node reads from its Pin-th
 // fanin. Mask holds one word per batch word (bit k of Mask[j] selects
-// slot j*64+k); words beyond len(Mask) are unaffected.
+// slot j*64+k); words beyond len(Mask) are unaffected. SetInjections
+// copies the nonzero words it needs, so Mask may be reused as soon as
+// it returns.
 type BatchInjection struct {
 	Node  int
 	Pin   int
 	Stuck logic.Value
 	Mask  []uint64
-
-	// Set by SetInjections on its internal copies: the half-open range
-	// [lo, hi) of nonzero Mask words and the broadcast stuck word, so the
-	// patch pass touches only the words a fault actually lives in.
-	lo, hi int
-	fw     logic.Word
 }
 
-// Injection flag bits, per node.
+// patchOp is one word of an installed injection: vals[dst] takes
+// vals[src] with the masked slots forced to stuck. An output fault
+// merges in place (src == dst); a branch's first fault copies the stem
+// into it word by word, merging as it copies, and any further faults on
+// the branch merge in place. at is where the op
+// applies: before stream instruction at (at == NumInstrs: after the
+// last one), atFF/atSource at EvalComb start, atLatch at ClockFF
+// start.
+type patchOp struct {
+	at, dst, src int32
+	mask         uint64
+	stuck        logic.Word
+}
+
+// Application points of patch ops outside the stream. atFF ops (stuck
+// flip-flop outputs) also re-apply after every latch.
 const (
-	flagOut uint8 = 1 << iota
-	flagPin
+	atFF     = -1
+	atSource = 0 // gates' fix points are all past their own instruction, so > 0
+	atLatch  = math.MaxInt32
 )
 
 // BatchEngine executes a compiled Program over W-word batches: 64*W
@@ -40,50 +54,65 @@ const (
 // same-opcode run at a time, with no per-gate kind dispatch or
 // fanin-slice walking.
 //
-// Injections are handled as a patch pass: every node evaluates through
-// the fast instruction first, and the few nodes carrying injections are
-// fixed immediately after their final instruction (re-evaluated with
-// forced fanins for pin injections, masked-merged for output
-// injections), preserving topological consistency for downstream
-// reads. The three-valued semantics, fold order and injection
-// application order match Engine exactly, so results are bit-identical
-// slot for slot.
+// Injections are installed as patch ops, never as extra instructions.
+// An output fault merges its stuck value into the node's words at the
+// node's fix point (see Program.fixPoints). A pin fault gets a branch
+// slot past the program's slots: the reading operand of the engine's
+// private instruction copy (or, for a DFF D-pin, its latch entry) is
+// re-pointed there, and the branch is a copy of the stem taken at the
+// stem's fix point, with the pin faults merged into it. Every fault so
+// costs a few word merges, and the stream is split only at the distinct
+// fix points that carry ops. Per word this is the interpreter's order:
+// output forces first, then pin forces in input order, so results are
+// bit-identical slot for slot.
 type BatchEngine struct {
 	p   *Program
 	c   *circuit.Circuit
 	cap int // allocated width in words
 	w   int // active width in words (<= cap)
 
-	vals []logic.Word // value arena: slot s occupies vals[s*w : (s+1)*w]
+	// vals is the value arena: slot s occupies vals[s*w : (s+1)*w].
+	// Slots [p.nslots, p.nslots+nbranch) are branch slots, of which the
+	// first used carry the installed pin sites.
+	vals          []logic.Word
+	nbranch, used int
 
-	outInj  [][]BatchInjection // by node whose output is forced
-	pinInj  [][]BatchInjection // by consumer node
-	flags   []uint8            // per node
-	touched []int
-	srcInj  []int   // injected source nodes, forced at EvalComb start
-	fixAt   []int32 // sorted instruction positions of injected gates
+	code []instr   // the program's stream then latch entries, re-pointed by pin faults
+	undo []patched // original entries of re-pointed code, restored in reverse
+
+	keys          []uint64  // SetInjections' sort buffer
+	ops           []patchOp // installed injections, sorted by at
+	ffEnd, srcEnd int       // ops[:ffEnd] apply at atFF, ops[:srcEnd] at EvalComb start
+	latchFrom     int       // ops[latchFrom:] apply at atLatch
 
 	scratch []logic.Word // per-DFF next-state buffer (nff * cap)
+}
+
+// patched records a code entry's value before SetInjections re-pointed it.
+type patched struct {
+	at int32
+	in instr
 }
 
 // NewBatch returns a BatchEngine executing p over w-word batches, with
 // all signals X. The width is also the engine's capacity: SetWidth can
 // later shrink (and re-grow) the active width without reallocating.
+// The arena starts with one branch slot per slot of a full-width batch,
+// so a fault-simulation pass never needs to grow it.
 func NewBatch(p *Program, w int) *BatchEngine {
 	if w < 1 {
 		w = 1
 	}
-	c := p.c
+	nbranch := 64 * w
 	return &BatchEngine{
 		p:       p,
-		c:       c,
+		c:       p.c,
 		cap:     w,
 		w:       w,
-		vals:    make([]logic.Word, p.nslots*w),
-		outInj:  make([][]BatchInjection, c.NumNodes()),
-		pinInj:  make([][]BatchInjection, c.NumNodes()),
-		flags:   make([]uint8, c.NumNodes()),
-		scratch: make([]logic.Word, c.NumFFs()*w),
+		vals:    make([]logic.Word, (p.nslots+nbranch)*w),
+		nbranch: nbranch,
+		code:    slices.Concat(p.instrs, p.latch),
+		scratch: make([]logic.Word, p.c.NumFFs()*w),
 	}
 }
 
@@ -121,56 +150,120 @@ func (e *BatchEngine) Reset() {
 }
 
 func (e *BatchEngine) clearInjections() {
-	for _, n := range e.touched {
-		// Truncate instead of nil: fault simulation re-injects the same
-		// nodes pass after pass, so keeping per-node capacity warm avoids
-		// an allocation per injection per pass.
-		e.outInj[n] = e.outInj[n][:0]
-		e.pinInj[n] = e.pinInj[n][:0]
-		e.flags[n] = 0
+	for i := len(e.undo) - 1; i >= 0; i-- {
+		e.code[e.undo[i].at] = e.undo[i].in
 	}
-	e.touched = e.touched[:0]
-	e.srcInj = e.srcInj[:0]
-	e.fixAt = e.fixAt[:0]
+	e.undo = e.undo[:0]
+	e.ops = e.ops[:0]
+	e.ffEnd, e.srcEnd, e.latchFrom = 0, 0, 0
+	e.used = 0
 }
 
 // SetInjections installs the active fault injections, replacing any
-// previous set. Callers must keep each Mask alive and unchanged until
-// the next SetInjections or Reset.
+// previous set, at the active width.
 func (e *BatchEngine) SetInjections(injs []BatchInjection) {
 	e.clearInjections()
-	for _, in := range injs {
-		in.lo = 0
-		in.hi = len(in.Mask)
-		for in.lo < in.hi && in.Mask[in.lo] == 0 {
-			in.lo++
-		}
-		for in.hi > in.lo && in.Mask[in.hi-1] == 0 {
-			in.hi--
-		}
-		in.fw = logic.FromValue(in.Stuck)
-		if e.flags[in.Node] == 0 {
-			e.touched = append(e.touched, in.Node)
-		}
+	p := e.p
+	// Order the injections by application point, output faults before
+	// pin faults at each point (a stem's own forces precede the branch
+	// copies taken from it), and in input order within each class. The
+	// ops then come out sorted.
+	e.keys = e.keys[:0]
+	for k, in := range injs {
+		var at int32
+		class := uint64(0)
 		if in.Pin < 0 {
-			e.outInj[in.Node] = append(e.outInj[in.Node], in)
-			if e.flags[in.Node]&flagOut == 0 {
-				e.flags[in.Node] |= flagOut
-				if e.c.IsSource(in.Node) {
-					e.srcInj = append(e.srcInj, in.Node)
+			at = p.fix[in.Node]
+			if at < 0 {
+				at = atSource
+				if e.c.Nodes[in.Node].Kind == circuit.DFF {
+					at = atFF
 				}
 			}
+		} else if ref := p.pins[int(p.pinOff[in.Node])+in.Pin]; ref>>refShift >= int32(len(p.instrs)) {
+			at, class = atLatch, 1
 		} else {
-			e.pinInj[in.Node] = append(e.pinInj[in.Node], in)
-			e.flags[in.Node] |= flagPin
+			at, class = max(p.fix[e.c.Nodes[in.Node].Fanin[in.Pin]], atSource), 1
+		}
+		e.keys = append(e.keys, uint64(int64(at)-atFF)<<32|class<<31|uint64(k))
+	}
+	slices.Sort(e.keys)
+	for _, key := range e.keys {
+		in := &injs[key&(1<<31-1)]
+		at := int32(int64(key>>32) + atFF)
+		if in.Pin < 0 {
+			e.merge(at, int32(in.Node), int32(in.Node), in)
+			continue
+		}
+		ref := p.pins[int(p.pinOff[in.Node])+in.Pin]
+		i := ref >> refShift
+		br := e.code[i].b
+		if ref&refA != 0 {
+			br = e.code[i].a
+		}
+		if br >= int32(p.nslots) { // the site already has its branch
+			e.merge(at, br, br, in)
+			continue
+		}
+		stem := int32(e.c.Nodes[in.Node].Fanin[in.Pin])
+		br = e.branch()
+		e.undo = append(e.undo, patched{i, e.code[i]})
+		if ref&refA != 0 {
+			e.code[i].a = br
+		}
+		if ref&refB != 0 {
+			e.code[i].b = br
+		}
+		e.merge(at, br, stem, in)
+	}
+	e.ffEnd = e.opsBefore(atFF + 1)
+	e.srcEnd = e.opsBefore(atSource + 1)
+	e.latchFrom = e.opsBefore(atLatch)
+}
+
+// opsBefore returns the number of installed ops applying before at.
+func (e *BatchEngine) opsBefore(at int32) int {
+	n, _ := slices.BinarySearchFunc(e.ops, at, func(o patchOp, at int32) int { return cmp.Compare(o.at, at) })
+	return n
+}
+
+// merge appends the ops that write slot dst as slot src with in's
+// masked slots forced, at application point at. A copy (src != dst)
+// writes every word; an in-place merge skips the words in leaves alone.
+func (e *BatchEngine) merge(at, dst, src int32, in *BatchInjection) {
+	stuck := logic.FromValue(in.Stuck)
+	w := int32(e.w)
+	for j := range w {
+		var m uint64
+		if int(j) < len(in.Mask) {
+			m = in.Mask[j]
+		}
+		if m != 0 || src != dst {
+			e.ops = append(e.ops, patchOp{at: at, dst: dst*w + j, src: src*w + j, mask: m, stuck: stuck})
 		}
 	}
-	for _, n := range e.touched {
-		if at := e.p.pos[n]; at >= 0 {
-			e.fixAt = append(e.fixAt, at)
-		}
+}
+
+// branch hands out the next free branch slot, doubling the branch
+// region (and keeping the arena's contents) when it is full.
+func (e *BatchEngine) branch() int32 {
+	if e.used == e.nbranch {
+		e.nbranch *= 2
+		vals := make([]logic.Word, (e.p.nslots+e.nbranch)*e.cap)
+		copy(vals, e.vals)
+		e.vals = vals
 	}
-	slices.Sort(e.fixAt)
+	e.used++
+	return int32(e.p.nslots + e.used - 1)
+}
+
+// apply runs patch ops in order.
+func (e *BatchEngine) apply(ops []patchOp) {
+	vals := e.vals
+	for i := range ops {
+		o := &ops[i]
+		vals[o.dst] = vals[o.src].Merge(o.stuck, o.mask)
+	}
 }
 
 // SetPIVector broadcasts a scalar PI vector to all slots.
@@ -225,9 +318,10 @@ func (e *BatchEngine) PO(i int) logic.WordVec { return e.slot(e.c.POs[i]) }
 func (e *BatchEngine) State(i int) logic.WordVec { return e.slot(e.c.DFFs[i]) }
 
 // EvalComb evaluates the combinational network from the current PI and
-// state values: constants are driven, source-output injections applied,
-// then the instruction stream executes with injected nodes patched in
-// topological position.
+// state values: constants are driven, source injections applied (stuck
+// sources, then branches of source stems), then the instruction stream
+// executes with the remaining injections patched in at their fix
+// points.
 func (e *BatchEngine) EvalComb() {
 	for _, n := range e.p.const0 {
 		e.slot(int(n)).Fill(logic.AllZero)
@@ -235,9 +329,7 @@ func (e *BatchEngine) EvalComb() {
 	for _, n := range e.p.const1 {
 		e.slot(int(n)).Fill(logic.AllOne)
 	}
-	for _, n := range e.srcInj {
-		e.applyOut(n)
-	}
+	e.apply(e.ops[:e.srcEnd])
 	e.exec()
 }
 
@@ -247,23 +339,24 @@ func (e *BatchEngine) EvalComb() {
 // Compile) and then loops over the run's operands, so the dispatch
 // branch is not re-decided per instruction.
 //
-// An injected node is fixed right after its own instruction, not at the
-// end of its run (a run can hold both a node and a consumer of it): the
-// runs are split at the sorted instruction positions of injected gates.
+// A run is split only at the distinct fix points that carry patch ops;
+// the ops of each apply there in one tight loop, before the instruction
+// at that point reads the patched values.
 func (e *BatchEngine) exec() {
-	instrs := e.p.instrs
-	fixAt := e.fixAt
+	code, vals := e.code, e.vals
+	ops := e.ops[e.srcEnd:e.latchFrom]
 	start := int32(0)
 	for _, r := range e.p.runs {
 		for start < r.end {
 			end := r.end
-			if len(fixAt) > 0 && fixAt[0] < end {
-				end = fixAt[0] + 1
+			if len(ops) > 0 && ops[0].at < end {
+				end = ops[0].at
 			}
-			e.execRun(r.op, instrs[start:end])
-			if len(fixAt) > 0 && fixAt[0] == end-1 {
-				e.fix(int(instrs[end-1].dst))
-				fixAt = fixAt[1:]
+			e.execRun(r.op, code[start:end])
+			for len(ops) > 0 && ops[0].at == end {
+				o := &ops[0]
+				vals[o.dst] = vals[o.src].Merge(o.stuck, o.mask)
+				ops = ops[1:]
 			}
 			start = end
 		}
@@ -560,147 +653,20 @@ func operands(vals []logic.Word, w int, in instr) (d, a, b []logic.Word) {
 	return vals[di : di+w : di+w], vals[ai : ai+w : ai+w], vals[bi : bi+w : bi+w]
 }
 
-// fix patches an injected node right after its final instruction: a pin
-// injection re-evaluates the whole gate with forced fanins (the slow
-// path), an output injection merges the stuck value into the masked
-// slots. Both orders match Engine.EvalComb.
-func (e *BatchEngine) fix(n int) {
-	if e.flags[n]&flagPin != 0 {
-		e.evalForced(n)
-	}
-	if e.flags[n]&flagOut != 0 {
-		e.applyOut(n)
-	}
-}
-
-// applyOut merges node n's output injections into its value slots.
-func (e *BatchEngine) applyOut(n int) {
-	w := e.w
-	d := e.vals[n*w : (n+1)*w : (n+1)*w]
-	inj := e.outInj[n]
-	for j := range inj {
-		in := &inj[j]
-		hi := in.hi
-		if hi > w {
-			hi = w
-		}
-		for i := in.lo; i < hi; i++ {
-			if mask := in.Mask[i]; mask != 0 {
-				d[i] = d[i].Merge(in.fw, mask)
-			}
-		}
-	}
-}
-
-// evalForced patches gate n after its fast instruction: only the words
-// whose slots carry a pin injection are re-folded (with forced fanins);
-// every other word keeps the fast result, which is bit-identical to the
-// unforced fold. A fault pins a handful of slots, so this costs O(pins)
-// per flagged gate instead of O(width) — the patch pass stays constant
-// as the batch widens.
-func (e *BatchEngine) evalForced(n int) {
-	w := e.w
-	inj := e.pinInj[n]
-	for j := range inj {
-		in := &inj[j]
-		hi := in.hi
-		if hi > w {
-			hi = w
-		}
-		for i := in.lo; i < hi; i++ {
-			// A word shared by two injections is re-folded once per
-			// injection; the second fold writes the same bits, so the
-			// duplicate work is harmless (and rare).
-			if in.Mask[i] != 0 {
-				e.evalForcedWord(n, i)
-			}
-		}
-	}
-}
-
-// faninForcedWord returns word i of the value node n reads from its
-// p-th fanin, with pin injections on that word applied.
-func (e *BatchEngine) faninForcedWord(n, p, i int) logic.Word {
-	v := e.vals[e.c.Nodes[n].Fanin[p]*e.w+i]
-	inj := e.pinInj[n]
-	for j := range inj {
-		if in := &inj[j]; in.Pin == p && i < len(in.Mask) && in.Mask[i] != 0 {
-			v = v.Merge(in.fw, in.Mask[i])
-		}
-	}
-	return v
-}
-
-// evalForcedWord re-evaluates word i of gate n reading every fanin
-// through faninForcedWord, folding from the identity element exactly
-// like Engine.evalGate.
-func (e *BatchEngine) evalForcedWord(n, i int) {
-	nd := &e.c.Nodes[n]
-	var v logic.Word
-	switch nd.Kind {
-	case circuit.Not:
-		v = e.faninForcedWord(n, 0, i).Not()
-	case circuit.Buf:
-		v = e.faninForcedWord(n, 0, i)
-	case circuit.And, circuit.Nand:
-		v = logic.AllOne
-		for p := range nd.Fanin {
-			v = v.And(e.faninForcedWord(n, p, i))
-		}
-		if nd.Kind == circuit.Nand {
-			v = v.Not()
-		}
-	case circuit.Or, circuit.Nor:
-		v = logic.AllZero
-		for p := range nd.Fanin {
-			v = v.Or(e.faninForcedWord(n, p, i))
-		}
-		if nd.Kind == circuit.Nor {
-			v = v.Not()
-		}
-	case circuit.Xor, circuit.Xnor:
-		v = logic.AllZero
-		for p := range nd.Fanin {
-			v = v.Xor(e.faninForcedWord(n, p, i))
-		}
-		if nd.Kind == circuit.Xnor {
-			v = v.Not()
-		}
-	default:
-		panic(fmt.Sprintf("sim: evalForced on non-gate node %d (%v)", n, nd.Kind))
-	}
-	e.vals[n*e.w+i] = v
-}
-
-// ClockFF latches the current D values (with DFF pin injections) into
-// the flip-flops, applying output injections on DFF nodes.
+// ClockFF latches the current D values into the flip-flops: branches
+// of faulted D-pins are built first, and stuck flip-flop outputs are
+// re-forced after the latch.
 func (e *BatchEngine) ClockFF() {
 	w := e.w
-	for i, ff := range e.c.DFFs {
-		dst := e.scratch[i*w : (i+1)*w]
-		copy(dst, e.slot(e.c.Nodes[ff].Fanin[0]))
-		if e.flags[ff]&flagPin != 0 {
-			inj := e.pinInj[ff]
-			for j := range inj {
-				in := &inj[j]
-				hi := in.hi
-				if hi > w {
-					hi = w
-				}
-				for k := in.lo; k < hi; k++ {
-					if mask := in.Mask[k]; mask != 0 {
-						dst[k] = dst[k].Merge(in.fw, mask)
-					}
-				}
-			}
-		}
+	e.apply(e.ops[e.latchFrom:])
+	latch := e.code[len(e.p.instrs):]
+	for i := range e.c.DFFs {
+		copy(e.scratch[i*w:(i+1)*w], e.slot(int(latch[i].a)))
 	}
 	for i, ff := range e.c.DFFs {
 		copy(e.slot(ff), e.scratch[i*w:(i+1)*w])
-		if e.flags[ff]&flagOut != 0 {
-			e.applyOut(ff)
-		}
 	}
+	e.apply(e.ops[:e.ffEnd])
 }
 
 // Step applies one functional clock cycle: evaluate the combinational

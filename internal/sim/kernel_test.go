@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/circuit"
@@ -127,6 +128,38 @@ func compareAll(t *testing.T, c *circuit.Circuit, be *BatchEngine, eng *Engine, 
 	}
 }
 
+// checkRun drives be, which carries injs, and one interpreter Engine
+// per word through cycles random X-bearing vectors from a random state,
+// comparing every node after each evaluation and after each clock.
+func checkRun(t *testing.T, be *BatchEngine, injs []BatchInjection, r *rand.Rand, cycles int, tag string) {
+	t.Helper()
+	c := be.Circuit()
+	engines := make([]*Engine, be.Width())
+	for j := range engines {
+		engines[j] = engineForWord(c, injs, j)
+	}
+	st := randXVector(r, c.NumFFs())
+	be.SetStateVector(st)
+	for _, eng := range engines {
+		eng.SetStateVector(st)
+	}
+	for u := 0; u < cycles; u++ {
+		in := randXVector(r, c.NumPIs())
+		be.SetPIVector(in)
+		be.EvalComb()
+		for j, eng := range engines {
+			eng.SetPIVector(in)
+			eng.EvalComb()
+			compareAll(t, c, be, eng, j, fmt.Sprintf("%s u %d eval", tag, u))
+		}
+		be.ClockFF()
+		for j, eng := range engines {
+			eng.ClockFF()
+			compareAll(t, c, be, eng, j, fmt.Sprintf("%s u %d clock", tag, u))
+		}
+	}
+}
+
 // TestKernelMatchesEngine is the node-exact differential: for every
 // circuit, width and random (injections, X-bearing sequence), each word
 // of the BatchEngine must equal an interpreter Engine run carrying that
@@ -143,30 +176,7 @@ func TestKernelMatchesEngine(t *testing.T) {
 					be.Reset()
 					injs := randInjections(r, c, w, 1+r.Intn(2*w))
 					be.SetInjections(injs)
-					engines := make([]*Engine, w)
-					for j := range engines {
-						engines[j] = engineForWord(c, injs, j)
-					}
-					st := randXVector(r, c.NumFFs())
-					be.SetStateVector(st)
-					for _, eng := range engines {
-						eng.SetStateVector(st)
-					}
-					for u := 0; u < 6; u++ {
-						in := randXVector(r, c.NumPIs())
-						be.SetPIVector(in)
-						be.EvalComb()
-						for j, eng := range engines {
-							eng.SetPIVector(in)
-							eng.EvalComb()
-							compareAll(t, c, be, eng, j, fmt.Sprintf("trial %d u %d eval", trial, u))
-						}
-						be.ClockFF()
-						for j, eng := range engines {
-							eng.ClockFF()
-							compareAll(t, c, be, eng, j, fmt.Sprintf("trial %d u %d clock", trial, u))
-						}
-					}
+					checkRun(t, be, injs, r, 6, fmt.Sprintf("trial %d", trial))
 				}
 			})
 		}
@@ -216,22 +226,7 @@ func TestKernelSetWidth(t *testing.T) {
 		r := rand.New(rand.NewSource(int64(w)))
 		injs := randInjections(r, c, w, 3)
 		be.SetInjections(injs)
-		be.SetStateVector(randXVector(r, c.NumFFs()))
-		engines := make([]*Engine, w)
-		st := randXVector(r, c.NumFFs())
-		be.SetStateVector(st)
-		for j := range engines {
-			engines[j] = engineForWord(c, injs, j)
-			engines[j].SetStateVector(st)
-		}
-		in := randXVector(r, c.NumPIs())
-		be.SetPIVector(in)
-		be.Step()
-		for j, eng := range engines {
-			eng.SetPIVector(in)
-			eng.Step()
-			compareAll(t, c, be, eng, j, fmt.Sprintf("w=%d", w))
-		}
+		checkRun(t, be, injs, r, 1, fmt.Sprintf("w=%d", w))
 	}
 	defer func() {
 		if recover() == nil {
@@ -274,16 +269,26 @@ func foldSteps(c *circuit.Circuit) int {
 // the executor: every operand slot is written before it is read, every
 // gate node exactly once; the runs are maximal same-opcode stretches
 // covering the stream exactly once; the instruction count is gates plus
-// fold steps; and temporary slots are recycled, so the program needs
-// only as many as are ever live at once.
+// fold steps (and, on the roster circuits, the recorded counts);
+// temporary slots are recycled, so the program needs only as many as
+// are ever live at once; and the injection map is sound (see
+// checkInjectionMap).
 func TestKernelCompileContract(t *testing.T) {
-	s1423, ok := gen.RosterCircuit("s1423")
-	if !ok {
-		t.Fatal("unknown roster circuit s1423")
+	circuits := kernelTestCircuits(t)
+	instrs := map[string]int{"s1423": 953, "b04": 771, "s35932xl": 28439}
+	for _, name := range []string{"s1423", "b04", "s35932xl"} {
+		c, ok := gen.RosterCircuit(name)
+		if !ok {
+			t.Fatalf("unknown roster circuit %s", name)
+		}
+		circuits = append(circuits, c)
 	}
-	for _, c := range append(kernelTestCircuits(t), s1423) {
+	for _, c := range circuits {
 		p := Compile(c)
 		nn := c.NumNodes()
+		if want, ok := instrs[c.Name]; ok && p.NumInstrs() != want {
+			t.Errorf("%s: %d instructions, recorded %d", c.Name, p.NumInstrs(), want)
+		}
 		if got, want := len(p.instrs), len(c.EvalOrder())+foldSteps(c); got != want {
 			t.Errorf("%s: %d instructions, want %d", c.Name, got, want)
 		}
@@ -342,11 +347,261 @@ func TestKernelCompileContract(t *testing.T) {
 		if temps := p.nslots - nn; temps != peak {
 			t.Errorf("%s: %d temporary slots for a peak of %d live temporaries", c.Name, temps, peak)
 		}
+		checkInjectionMap(t, p)
 	}
 	// The wide fixture has seven fold chains; recycling must share slots
 	// among them.
 	c := wideConstCircuit(t)
 	if temps := Compile(c).NumSlots() - c.NumNodes(); temps >= foldSteps(c) {
 		t.Errorf("wide: %d temporary slots for %d fold steps, want fewer", temps, foldSteps(c))
+	}
+}
+
+// checkInjectionMap pins the compile output BatchEngine patches faults
+// through. Every pin reference names an entry whose marked operands
+// read that fanin: an instruction of the gate's own fold chain, or for
+// a flip-flop its latch entry; a unary instruction is marked on both
+// operands, and every operand reading a node is claimed by exactly one
+// pin. Every gate's fix point lies in (pos, end of its run], with no
+// reader of the gate before it and, short of the run end, a reader at
+// it. Sources have no fix point.
+func checkInjectionMap(t *testing.T, p *Program) {
+	t.Helper()
+	c := p.c
+	nn := int32(c.NumNodes())
+	ni := int32(len(p.instrs))
+	// owner[i]: the gate instruction i computes part of, following each
+	// fold temporary to its single reader (scanning backwards, the last
+	// reader seen of a slot is the one after its write).
+	owner := make([]int32, ni)
+	tempOwner := make([]int32, p.nslots)
+	for i := ni - 1; i >= 0; i-- {
+		in := p.instrs[i]
+		if owner[i] = in.dst; in.dst >= nn {
+			owner[i] = tempOwner[in.dst]
+		}
+		for _, x := range []int32{in.a, in.b} {
+			if x >= nn {
+				tempOwner[x] = owner[i]
+			}
+		}
+	}
+	runEnd := make([]int32, ni)
+	op := make([]opcode, ni)
+	start := int32(0)
+	for _, r := range p.runs {
+		for i := start; i < r.end; i++ {
+			runEnd[i], op[i] = r.end, r.op
+		}
+		start = r.end
+	}
+	claims := make(map[[2]int32]int) // (instruction, operand bit) -> pins naming it
+	for n := int32(0); n < nn; n++ {
+		fan := c.Nodes[n].Fanin
+		if got := int(p.pinOff[n+1] - p.pinOff[n]); got != len(fan) {
+			t.Fatalf("%s: node %d has %d pin references for %d fanins", c.Name, n, got, len(fan))
+		}
+		for k, f := range fan {
+			ref := p.pins[p.pinOff[n]+int32(k)]
+			i, bits := ref>>refShift, ref&(refA|refB)
+			var in instr
+			switch {
+			case i >= ni:
+				if c.Nodes[n].Kind != circuit.DFF || c.DFFs[i-ni] != int(n) {
+					t.Fatalf("%s: node %d pin %d names latch entry %d", c.Name, n, k, i-ni)
+				}
+				in = p.latch[i-ni]
+				if bits != refA|refB {
+					t.Fatalf("%s: flip-flop %d latch reference marks operands %b", c.Name, n, bits)
+				}
+			case owner[i] != n:
+				t.Fatalf("%s: node %d pin %d names instruction %d of gate %d", c.Name, n, k, i, owner[i])
+			default:
+				in = p.instrs[i]
+				if unary := op[i] == opBuf || op[i] == opNot; bits == 0 || unary && bits != refA|refB {
+					t.Fatalf("%s: node %d pin %d marks operands %b of a %v", c.Name, n, k, bits, op[i])
+				}
+				for _, b := range []int32{refA, refB} {
+					if bits&b != 0 {
+						claims[[2]int32{i, b}]++
+					}
+				}
+			}
+			if bits&refA != 0 && in.a != int32(f) || bits&refB != 0 && in.b != int32(f) {
+				t.Fatalf("%s: node %d pin %d: marked operands of %+v do not read fanin %d", c.Name, n, k, in, f)
+			}
+		}
+	}
+	for i, in := range p.instrs {
+		for _, o := range [][2]int32{{refA, in.a}, {refB, in.b}} {
+			if n := claims[[2]int32{int32(i), o[0]}]; o[1] < nn && n != 1 {
+				t.Fatalf("%s: operand %b of instruction %d reads node %d under %d pin references",
+					c.Name, o[0], i, o[1], n)
+			}
+		}
+	}
+	for n := int32(0); n < nn; n++ {
+		pos, fix := p.pos[n], p.fix[n]
+		if c.IsSource(int(n)) {
+			if fix != -1 {
+				t.Fatalf("%s: source %d has fix point %d", c.Name, n, fix)
+			}
+			continue
+		}
+		if fix <= pos || fix > runEnd[pos] {
+			t.Fatalf("%s: gate %d at %d has fix point %d outside (%d, %d]", c.Name, n, pos, fix, pos, runEnd[pos])
+		}
+		reads := func(i int32) bool { return p.instrs[i].a == n || p.instrs[i].b == n }
+		for i := pos + 1; i < fix; i++ {
+			if reads(i) {
+				t.Fatalf("%s: gate %d read at %d, before its fix point %d", c.Name, n, i, fix)
+			}
+		}
+		if fix < runEnd[pos] && !reads(fix) {
+			t.Fatalf("%s: gate %d fix point %d neither reads it nor ends its run", c.Name, n, fix)
+		}
+	}
+}
+
+// patchCircuit is the fixture for single-site patching cases: stem s
+// fans out to two gates and a flip-flop's D-pin, and g1 reads input a
+// on both of its pins.
+func patchCircuit(t testing.TB) *circuit.Circuit {
+	b := circuit.NewBuilder("patch")
+	b.Input("a")
+	b.Input("b")
+	b.Gate("s", circuit.Nand, "a", "b")
+	b.Gate("g1", circuit.And, "a", "a")
+	b.Gate("g2", circuit.Or, "s", "b")
+	b.Gate("g3", circuit.Xor, "s", "q")
+	b.DFF("q", "s")
+	b.Output("g1")
+	b.Output("g2")
+	b.Output("g3")
+	c, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// install hands be a copy of injs and scribbles over the copy's masks
+// once SetInjections returns: the engine must not read them afterwards.
+func install(be *BatchEngine, injs []BatchInjection) {
+	cp := make([]BatchInjection, len(injs))
+	for i, in := range injs {
+		cp[i] = in
+		cp[i].Mask = slices.Clone(in.Mask)
+	}
+	be.SetInjections(cp)
+	for _, in := range cp {
+		for j := range in.Mask {
+			in.Mask[j] = ^uint64(0)
+		}
+	}
+}
+
+// TestKernelPatchReuse checks that installed patches (re-pointed
+// operands, branch slots and the patch list) are exactly undone and
+// rebuilt as an engine moves from one injection set to the next, and
+// covers the site shapes that share branch slots or order their merges.
+// Every case is compared node for node with the interpreter.
+func TestKernelPatchReuse(t *testing.T) {
+	k1 := kernelTestCircuits(t)[4]
+	fix := patchCircuit(t)
+	node := func(name string) int {
+		n, ok := fix.NodeByName(name)
+		if !ok {
+			t.Fatalf("no node %s", name)
+		}
+		return n
+	}
+	for _, w := range []int{1, 2, 4} {
+		r := rand.New(rand.NewSource(int64(w)))
+		mask := func() []uint64 { // dense words, but about half of them empty
+			m := make([]uint64, w)
+			for j := range m {
+				if r.Intn(2) == 0 {
+					m[j] = r.Uint64()
+				}
+			}
+			return m
+		}
+		inj := func(name string, pin int, stuck logic.Value, m []uint64) BatchInjection {
+			return BatchInjection{Node: node(name), Pin: pin, Stuck: stuck, Mask: m}
+		}
+
+		t.Run(fmt.Sprintf("reset/w%d", w), func(t *testing.T) {
+			p := Compile(k1)
+			be := NewBatch(p, w)
+			injs := randInjections(r, k1, w, 3*w)
+			install(be, injs)
+			checkRun(t, be, injs, r, 3, "injected")
+			be.Reset()
+			if !slices.Equal(be.code, slices.Concat(p.instrs, p.latch)) {
+				t.Fatal("Reset left re-pointed operands in the stream")
+			}
+			checkRun(t, be, nil, r, 3, "after reset")
+		})
+
+		t.Run(fmt.Sprintf("back-to-back/w%d", w), func(t *testing.T) {
+			be := NewBatch(Compile(k1), w)
+			a := randInjections(r, k1, w, 2*w)
+			b := randInjections(r, k1, w, 2*w)
+			for k, injs := range [][]BatchInjection{a, b, a} {
+				install(be, injs)
+				checkRun(t, be, injs, r, 3, fmt.Sprintf("set %d", k))
+			}
+		})
+
+		t.Run(fmt.Sprintf("branch-growth/w%d", w), func(t *testing.T) {
+			be := NewBatch(Compile(k1), w)
+			var injs []BatchInjection
+			for _, g := range k1.EvalOrder() {
+				for pin := range k1.Nodes[g].Fanin {
+					injs = append(injs, BatchInjection{Node: g, Pin: pin, Stuck: logic.Value(r.Intn(2)), Mask: mask()})
+				}
+			}
+			if len(injs) <= be.nbranch {
+				t.Fatalf("%d pin sites do not exceed %d branch slots", len(injs), be.nbranch)
+			}
+			install(be, injs)
+			if be.used != len(injs) || be.nbranch < len(injs) {
+				t.Fatalf("%d branch slots used of %d for %d sites", be.used, be.nbranch, len(injs))
+			}
+			checkRun(t, be, injs, r, 3, "grown")
+			again := randInjections(r, k1, w, 2*w)
+			install(be, again)
+			checkRun(t, be, again, r, 3, "after growth")
+		})
+
+		cases := []struct {
+			name string
+			injs []BatchInjection
+		}{
+			{"and-a-a-pin0", []BatchInjection{inj("g1", 0, logic.Zero, mask())}},
+			{"and-a-a-pin1", []BatchInjection{inj("g1", 1, logic.One, mask())}},
+			{"stem-out-and-branches", []BatchInjection{
+				inj("g2", 0, logic.One, mask()),
+				inj("s", -1, logic.Zero, mask()),
+				inj("g3", 0, logic.Zero, mask()),
+				inj("q", 0, logic.One, mask()),
+			}},
+			{"overlap", []BatchInjection{
+				inj("g3", 0, logic.Zero, mask()),
+				inj("s", -1, logic.One, mask()),
+				inj("g3", 0, logic.One, mask()),
+				inj("s", -1, logic.Zero, mask()),
+				inj("q", 0, logic.X, mask()),
+				inj("q", 0, logic.One, mask()),
+			}},
+		}
+		for _, tc := range cases {
+			t.Run(fmt.Sprintf("%s/w%d", tc.name, w), func(t *testing.T) {
+				be := NewBatch(Compile(fix), w)
+				install(be, tc.injs)
+				checkRun(t, be, tc.injs, r, 4, tc.name)
+			})
+		}
 	}
 }
