@@ -128,6 +128,10 @@ type IterationTrace struct {
 	ScanOutTime int // u_SO
 	DetectedSO  int // |F_SO|
 	LenIn       int // L(T_0)
+	// SyncHorizon is how many vectors of T_0 each Step 2 scan-in replay
+	// actually ran: the latest all-X sync point over the scored faults
+	// (see fsim.XRun), at most LenIn; 0 when T_0 detects every fault.
+	SyncHorizon int
 	LenOut      int // L(T_C) after omission
 	DetectedC   int // |F_C| after omission
 
@@ -197,8 +201,11 @@ func Run(s *fsim.Simulator, C []atpg.CombTest, T0 logic.Sequence, opt Options) (
 
 	for iter := 0; iter < opt.MaxIterations; iter++ {
 		p1start := time.Now()
-		// Step 1: F_0 = faults detected by the sequence without scan.
-		f0 := s.Detect(cur, fsim.Options{})
+		// Step 1: F_0 = faults detected by the sequence without scan. The
+		// all-X run also records where each fault's machine synchronizes,
+		// which cuts every scan-in replay of cur in Step 2 short.
+		xr := s.RunX(cur)
+		f0 := xr.Detected()
 		if iter == 0 {
 			res.T0Len = len(cur)
 			res.T0Detected = f0
@@ -221,7 +228,7 @@ func Run(s *fsim.Simulator, C []atpg.CombTest, T0 logic.Sequence, opt Options) (
 		bestSel, cntSel := -1, -1
 		for j := 0; j < len(C); j += candStride {
 			c := C[j]
-			n := s.Detect(cur, fsim.Options{Init: c.State, ScanOut: true, Targets: scoreTargets}).Count()
+			n := xr.DetectTest(c.State, scoreTargets).Count()
 			if selected[j] {
 				if n > cntSel {
 					bestSel, cntSel = j, n
@@ -241,7 +248,7 @@ func Run(s *fsim.Simulator, C []atpg.CombTest, T0 logic.Sequence, opt Options) (
 		}
 		selected[siIdx] = true
 		si := C[siIdx].State
-		siDet := s.Detect(cur, fsim.Options{Init: si, ScanOut: true, Targets: rest})
+		siDet := xr.DetectTest(si, rest)
 		fsi := f0.Clone()
 		fsi.UnionWith(siDet)
 
@@ -297,6 +304,7 @@ func Run(s *fsim.Simulator, C []atpg.CombTest, T0 logic.Sequence, opt Options) (
 			ScanOutTime: u,
 			DetectedSO:  fso.Count(),
 			LenIn:       len(cur),
+			SyncHorizon: xr.Horizon(scoreTargets),
 			LenOut:      tc.Len(),
 			DetectedC:   fc.Count(),
 			F0:          f0,

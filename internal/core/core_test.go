@@ -135,6 +135,9 @@ func TestRunTraceAndTermination(t *testing.T) {
 		if tr.ScanOutTime < 0 || tr.ScanOutTime >= tr.LenIn {
 			t.Errorf("iter %d: scan-out time %d outside [0,%d)", i, tr.ScanOutTime, tr.LenIn)
 		}
+		if tr.SyncHorizon <= 0 || tr.SyncHorizon > tr.LenIn {
+			t.Errorf("iter %d: sync horizon %d outside (0,%d]", i, tr.SyncHorizon, tr.LenIn)
+		}
 		if tr.Reused && i != len(res.Trace)-1 {
 			t.Error("a reused scan-in state must terminate the iteration")
 		}

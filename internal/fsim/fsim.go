@@ -370,6 +370,8 @@ type runSpec struct {
 	good    *goodTrace   // memoized good machine; nil = slot 0 carries it
 	profile *Profile     // per-time recording target, or nil
 	rec     *Record      // detection-record target, or nil (see record.go)
+	xrec    *XRun        // all-X run recording sync points (RunX), or nil
+	xcut    *XRun        // scan-in replay cut at its all-X sync points, or nil
 	abort   *atomic.Bool // cross-pass abort for must-detect checks, or nil
 	repack  bool         // survivor repacking enabled (see run)
 }
@@ -380,7 +382,7 @@ type runSpec struct {
 // which it cannot once everything is detected).
 func (s *Simulator) Detect(seq logic.Sequence, opt Options) *fault.Set {
 	detected := fault.NewSet(len(s.faults))
-	s.run(seq, opt, detected, nil, nil, nil)
+	s.run(seq, opt, detected, runSpec{})
 	return detected
 }
 
@@ -404,7 +406,7 @@ func (s *Simulator) DetectsAll(seq logic.Sequence, opt Options, must *fault.Set)
 	opt.Potential = nil
 	var abort atomic.Bool
 	detected := fault.NewSet(len(s.faults))
-	s.run(seq, opt, detected, nil, nil, &abort)
+	s.run(seq, opt, detected, runSpec{abort: &abort})
 	if abort.Load() {
 		return false
 	}
@@ -452,10 +454,11 @@ func (s *Simulator) targetIndices(targets *fault.Set) []int {
 // installed simulation order), decides the batch geometry (64*width - 1
 // faults per pass, one more when a memoized good trace frees slot 0,
 // with width adapted to the target count), and fans the passes out over
-// the worker pool. Detections are accumulated into detected and — in
-// profile mode — per-time data into profile. A non-nil abort turns the
-// run into a must-detect check: a completed pass with an undetected
-// fault aborts the remaining ones.
+// the worker pool. Detections are accumulated into detected and
+// spec's recording targets (profile, rec, xrec) are filled; spec's
+// remaining fields are set here. A non-nil spec.abort turns the run into
+// a must-detect check: a completed pass with an undetected fault aborts
+// the remaining ones.
 //
 // In plain detection mode (no abort, profile or potential collection)
 // passes additionally repack: a pass most of whose faults are already
@@ -465,23 +468,26 @@ func (s *Simulator) targetIndices(targets *fault.Set) []int {
 // is independent of pass packing, so results are bit-identical; each
 // generation is at most half the size of the previous one, so the
 // loop terminates in O(log targets) generations.
-func (s *Simulator) run(seq logic.Sequence, opt Options, detected *fault.Set, profile *Profile, rec *Record, abort *atomic.Bool) {
+func (s *Simulator) run(seq logic.Sequence, opt Options, detected *fault.Set, rs runSpec) {
 	targets := s.targetIndices(opt.Targets)
 	if len(targets) == 0 {
 		return
 	}
-	spec := &runSpec{
-		seq: seq, init: opt.Init, scanOut: opt.ScanOut, profile: profile, rec: rec, abort: abort,
-		// Recording (rec) deliberately keeps repacking on: a Record's
-		// per-fault data is packing-independent, and survivors of an
-		// aborted pass are re-simulated from scratch, so their entries are
-		// written (exactly once) by the generation that detects them.
-		repack: abort == nil && profile == nil && opt.Potential == nil && len(seq) > 1,
-	}
+	spec := &rs
+	abort := spec.abort
+	spec.seq, spec.init, spec.scanOut = seq, opt.Init, opt.ScanOut
+	// Recording (rec, xrec) deliberately keeps repacking on: the recorded
+	// per-fault data is packing-independent, and survivors of an aborted
+	// pass are re-simulated from scratch, so the generation that finishes
+	// them writes their entries (an X-run sync point may be rewritten,
+	// with the same value).
+	spec.repack = abort == nil && spec.profile == nil && opt.Potential == nil && len(seq) > 1
 
 	bs := 64*s.effWidth(len(targets)) - 1
 	cache := s.traceCacheRef()
-	if len(seq) > 0 {
+	// The X-run passes keep the good machine in slot 0: RunX reads its
+	// flip-flops, and a cut replay would not pay for a full trace.
+	if len(seq) > 0 && spec.xrec == nil && spec.xcut == nil {
 		tr, repeat := cache.lookup(opt.Init, seq)
 		switch {
 		case tr != nil:
@@ -631,7 +637,11 @@ func undetectedOf(batch []int, slot0 uint, det func(bit uint) bool) []int {
 // to potential (nil = not collected). The good trace is slot-uniform, so
 // comparing every word against the same good word is exact. In profile
 // mode (spec.profile non-nil) per-time detection data is recorded
-// instead of early-exiting. It returns the number of input vectors
+// instead of early-exiting. An all-X pass of RunX (spec.xrec) also
+// records each fault's sync point and final scan-out diff; a scan-in
+// replay of XRun.DetectTest (spec.xcut) stops at the batch's sync
+// horizon and takes the scan-out compare from the all-X run (see
+// xrun.go). It returns the number of input vectors
 // actually executed, plus the undetected survivors when the pass
 // repacked (see run).
 func (wk *worker) runBatchVec(batch []int, spec *runSpec, width int, detected, potential *fault.Set) (int, []int) {
@@ -649,18 +659,24 @@ func (wk *worker) runBatchVec(batch []int, spec *runSpec, width int, detected, p
 		wk.maskBuf = wk.maskBuf[:need]
 		clear(wk.maskBuf)
 	}
-	if cap(wk.vecBuf) < 4*width {
-		wk.vecBuf = make([]uint64, 4*width)
+	if cap(wk.vecBuf) < 6*width {
+		wk.vecBuf = make([]uint64, 6*width)
 	} else {
-		wk.vecBuf = wk.vecBuf[:4*width]
+		wk.vecBuf = wk.vecBuf[:6*width]
 		clear(wk.vecBuf)
 	}
 	batchMask := wk.vecBuf[0*width : 1*width]
 	detMask := wk.vecBuf[1*width : 2*width]
 	diff := wk.vecBuf[2*width : 3*width]
 	pot := wk.vecBuf[3*width : 4*width]
+	unsynced := wk.vecBuf[4*width : 5*width] // RunX: slots with no sync point yet
+	bin := wk.vecBuf[5*width : 6*width]      // RunX: markSynced scratch
 	if potential == nil {
 		pot = nil
+	}
+	n := len(spec.seq) // vectors this pass replays
+	if spec.xcut != nil {
+		n = spec.xcut.horizon(batch)
 	}
 	var goodPO, goodObs [][]logic.Word // nil: slot 0 carries the good machine
 	if spec.good != nil {
@@ -677,11 +693,15 @@ func (wk *worker) runBatchVec(batch []int, spec *runSpec, width int, detected, p
 		wk.binjBuf = append(wk.binjBuf, sim.BatchInjection{Node: f.Node, Pin: f.Pin, Stuck: f.Stuck, Mask: m})
 	}
 	eng.SetInjections(wk.binjBuf)
+	syncing := spec.xrec != nil
+	if syncing {
+		copy(unsynced, batchMask)
+	}
 
 	s.scanIn(eng, spec.init)
 
 	profile := spec.profile
-	for u, vec := range spec.seq {
+	for u, vec := range spec.seq[:n] {
 		if spec.abort != nil && spec.abort.Load() {
 			return u, nil // another pass already failed the must-detect check
 		}
@@ -730,10 +750,13 @@ func (wk *worker) runBatchVec(batch []int, spec *runSpec, width int, detected, p
 			}
 			continue
 		}
+		if syncing {
+			syncing = spec.xrec.markSynced(eng, batch, u, unsynced, bin)
+		}
 		if potential == nil && slices.Equal(detMask, batchMask) {
 			return u + 1, nil // every fault in this pass already detected
 		}
-		if spec.repack && repackable(u, len(spec.seq)) {
+		if spec.repack && repackable(u, n) {
 			ndet := 0
 			for k := 0; k < width; k++ {
 				ndet += bits.OnesCount64(detMask[k])
@@ -745,7 +768,12 @@ func (wk *worker) runBatchVec(batch []int, spec *runSpec, width int, detected, p
 			}
 		}
 	}
-	if spec.scanOut {
+	switch {
+	case spec.xrec != nil:
+		spec.xrec.markScanOut(eng, batch, diff)
+	case spec.xcut != nil && n < len(spec.seq):
+		spec.xcut.addScanOut(batch, detMask, detected)
+	case spec.scanOut:
 		clear(diff)
 		clear(pot)
 		for j, ff := range s.observed {
@@ -768,7 +796,7 @@ func (wk *worker) runBatchVec(batch []int, spec *runSpec, width int, detected, p
 			}
 		}
 	}
-	return len(spec.seq), nil
+	return n, nil
 }
 
 // scanIn loads the scan-in vector into eng, broadcast to every slot:

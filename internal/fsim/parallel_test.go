@@ -111,7 +111,8 @@ func TestWorkersEquivalencePartialScan(t *testing.T) {
 }
 
 // TestConcurrentUse exercises one shared Simulator from many goroutines
-// (mixed Detect / DetectTest / Profile / DetectsAll traffic) and checks
+// (mixed Detect / DetectTest / Profile / DetectsAll traffic, plus cut
+// replays of one shared XRun) and checks
 // every call returns the same sets as a serial run. Run under -race this
 // also proves the pool and trace cache are data-race free.
 func TestConcurrentUse(t *testing.T) {
@@ -119,15 +120,16 @@ func TestConcurrentUse(t *testing.T) {
 	s.SetWorkers(4)
 	ref := New(s.Circuit(), faults).DetectTest(si, seq, nil)
 	refNoScan := New(s.Circuit(), faults).Detect(seq, Options{Init: si})
+	x := s.RunX(seq)
 
 	var wg sync.WaitGroup
 	errs := make(chan string, 32)
-	for g := 0; g < 8; g++ {
+	for g := 0; g < 10; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 3; i++ {
-				switch g % 4 {
+				switch g % 5 {
 				case 0:
 					if got := s.DetectTest(si, seq, nil); !got.Equal(ref) {
 						errs <- "DetectTest result differs under concurrency"
@@ -147,6 +149,10 @@ func TestConcurrentUse(t *testing.T) {
 				case 3:
 					if !s.AllDetected(si, seq, ref) {
 						errs <- "AllDetected rejected the reference set"
+					}
+				case 4:
+					if got := x.DetectTest(si, nil); !got.Equal(ref) {
+						errs <- "XRun.DetectTest result differs under concurrency"
 					}
 				}
 			}

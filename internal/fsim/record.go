@@ -139,7 +139,7 @@ func (r *Record) Merge(o *Record) {
 func (s *Simulator) Record(seq logic.Sequence, opt Options) *Record {
 	r := newRecord(len(s.faults), len(seq))
 	opt.Potential = nil
-	s.run(seq, opt, r.det, nil, r, nil)
+	s.run(seq, opt, r.det, runSpec{rec: r})
 	return r
 }
 
@@ -163,7 +163,7 @@ func (s *Simulator) RecordMust(seq logic.Sequence, opt Options, must *fault.Set)
 	opt.Targets = must
 	opt.Potential = nil
 	var abort atomic.Bool
-	s.run(seq, opt, r.det, nil, r, &abort)
+	s.run(seq, opt, r.det, runSpec{rec: r, abort: &abort})
 	if abort.Load() || !r.det.ContainsAll(must) {
 		return nil, false
 	}
@@ -190,7 +190,7 @@ func (s *Simulator) RecordMustInto(buf *Record, seq logic.Sequence, opt Options,
 	opt.Targets = must
 	opt.Potential = nil
 	var abort atomic.Bool
-	s.run(seq, opt, buf.det, nil, buf, &abort)
+	s.run(seq, opt, buf.det, runSpec{rec: buf, abort: &abort})
 	if abort.Load() || !buf.det.ContainsAll(must) {
 		return buf, false
 	}

@@ -6,7 +6,9 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
+	"time"
 )
 
 // Store is the content-addressed artifact cache: one directory per
@@ -47,19 +49,48 @@ type StoreStats struct {
 	Evictions int64
 }
 
+// staleTempAge is how old a temporary bundle directory or index file
+// must be before OpenStore removes it as the leftover of a crashed Put.
+// A live Put renames its temporaries within seconds, so the margin keeps
+// an in-flight Put of another process sharing the directory safe.
+const staleTempAge = 10 * time.Minute
+
+// tempInfix marks the temporaries Put and the index writer create in the
+// store root.
+const tempInfix = ".tmp-"
+
 // OpenStore opens (creating if needed) an artifact store rooted at dir
 // with the given byte budget (<= 0 for unlimited). An existing
 // index.json restores recency order across restarts; if it is missing
 // or stale the objects directory is rescanned and recency reset.
+// Temporaries older than staleTempAge are removed first.
 func OpenStore(dir string, budget int64) (*Store, error) {
 	if err := os.MkdirAll(filepath.Join(dir, "objects"), 0o755); err != nil {
 		return nil, fmt.Errorf("jobs: open store: %v", err)
 	}
+	removeStaleTemps(dir, time.Now().Add(-staleTempAge))
 	s := &Store{dir: dir, budget: budget, entries: map[string]*storeEntry{}}
 	if err := s.loadIndex(); err != nil {
 		return nil, err
 	}
 	return s, nil
+}
+
+// removeStaleTemps deletes the index and bundle temporaries in the
+// store root dir last modified before cutoff. Both kinds live in the
+// root, so finding them takes one directory listing however many bundles
+// the store holds. Removal is best effort: a temporary that cannot be
+// removed is only wasted space.
+func removeStaleTemps(dir string, cutoff time.Time) {
+	ents, _ := os.ReadDir(dir)
+	for _, e := range ents {
+		if !strings.Contains(e.Name(), tempInfix) {
+			continue
+		}
+		if info, err := e.Info(); err == nil && info.ModTime().Before(cutoff) {
+			os.RemoveAll(filepath.Join(dir, e.Name()))
+		}
+	}
 }
 
 func (s *Store) indexPath() string { return filepath.Join(s.dir, "index.json") }
@@ -153,7 +184,7 @@ func (s *Store) saveIndexLocked() error {
 	}
 	// A private temporary name: another store sharing the directory may
 	// be saving its index at the same moment.
-	f, err := os.CreateTemp(s.dir, "index.json.tmp-*")
+	f, err := os.CreateTemp(s.dir, "index.json"+tempInfix+"*")
 	if err != nil {
 		return err
 	}
@@ -238,8 +269,9 @@ func (s *Store) Put(key Key, a *Artifacts) error {
 	}
 	// Write into a private temporary directory and rename it into place,
 	// so concurrent Puts never share a name and readers never see a
-	// partial bundle.
-	tmp, err := os.MkdirTemp(filepath.Dir(dir), filepath.Base(dir)+".tmp-*")
+	// partial bundle. It lives in the store root, where OpenStore finds
+	// it if a crash leaves it behind.
+	tmp, err := os.MkdirTemp(s.dir, filepath.Base(dir)+tempInfix+"*")
 	if err != nil {
 		return fmt.Errorf("jobs: store put: %v", err)
 	}

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // testKey fabricates a distinct, well-formed key per index.
@@ -245,5 +246,65 @@ func TestStoreSharedDirectory(t *testing.T) {
 	}
 	if got, ok, err := reopened.Get(k); err != nil || !ok || len(got.Files) != 2 {
 		t.Fatalf("reopened store: ok=%v err=%v", ok, err)
+	}
+}
+
+// TestStoreRemovesStaleTemps plants the leftovers of crashed Puts — a
+// temporary bundle directory and a temporary index file — once stale
+// and once fresh, and checks that OpenStore removes only the stale ones:
+// a fresh temporary may belong to a live Put of another process sharing
+// the directory.
+func TestStoreRemovesStaleTemps(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenStore(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := testKey(3)
+	if err := s.Put(k, bundle(10)); err != nil {
+		t.Fatal(err)
+	}
+	obj := s.objectDir(k)
+	stale := time.Now().Add(-2 * staleTempAge)
+	plant := func(path string, isDir, old bool) string {
+		t.Helper()
+		if isDir {
+			if err := os.Mkdir(path, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(path, "payload.txt"), []byte("partial"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		} else if err := os.WriteFile(path, []byte("{"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if old {
+			if err := os.Chtimes(path, stale, stale); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return path
+	}
+	staleObj := plant(filepath.Join(dir, k.String()+".tmp-111"), true, true)
+	freshObj := plant(filepath.Join(dir, k.String()+".tmp-222"), true, false)
+	staleIdx := plant(filepath.Join(dir, "index.json.tmp-333"), false, true)
+	freshIdx := plant(filepath.Join(dir, "index.json.tmp-444"), false, false)
+
+	reopened, err := OpenStore(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{staleObj, staleIdx} {
+		if _, err := os.Lstat(p); !os.IsNotExist(err) {
+			t.Errorf("stale temporary kept: %s", p)
+		}
+	}
+	for _, p := range []string{freshObj, freshIdx, obj} {
+		if _, err := os.Lstat(p); err != nil {
+			t.Errorf("fresh entry removed: %s (%v)", p, err)
+		}
+	}
+	if got, ok, err := reopened.Get(k); err != nil || !ok || len(got.Files) != 1 {
+		t.Fatalf("reopened store lost the bundle: ok=%v err=%v", ok, err)
 	}
 }

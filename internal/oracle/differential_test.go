@@ -23,7 +23,8 @@ var sweepCircuits = []string{"b01", "b02", "b06", "s298", "s344"}
 // identical hard and potential detection sets. Each configuration is
 // graded three times with the same key so the fsim trace cache walks its
 // miss → repeat-miss (trace computed) → hit path; the sets must not
-// change across repetitions.
+// change across repetitions. An X-run arm checks the cut scan-in
+// replays of fsim.XRun against the oracle over random scan-ins.
 func TestDifferentialSweep(t *testing.T) {
 	for _, name := range sweepCircuits {
 		c, ok := gen.RosterCircuit(name)
@@ -80,6 +81,26 @@ func TestDifferentialSweep(t *testing.T) {
 						if nsGot := fs.Detect(seq, fsim.Options{}); !nsGot.Equal(nsWant) {
 							t.Fatalf("no-scan sets differ: fsim %d, oracle %d",
 								nsGot.Count(), nsWant.Count())
+						}
+
+						// X-run arm (Phase 1's scan-in selection): replays cut
+						// at the all-X sync points, on the sweep sequence and
+						// on a longer binary one that lets most machines
+						// synchronize before its end, over random scan-ins.
+						xr := fs.RunX(seq)
+						if !xr.Detected().Equal(nsWant) || !xr.DetectTest(si, nil).Equal(want) {
+							t.Fatal("X run: sets differ from the oracle on the sweep sequence")
+						}
+						long := randSeq(r, 24, c.NumPIs(), false)
+						xr = fs.RunX(long)
+						if lw := orc.Detect(long, Options{}); !xr.Detected().Equal(lw) {
+							t.Fatalf("X run: all-X sets differ: fsim %d, oracle %d", xr.Detected().Count(), lw.Count())
+						}
+						for k := 0; k < 2; k++ {
+							xsi := randVec(r, orc.Nsv(), k > 0)
+							if got, lw := xr.DetectTest(xsi, nil), orc.DetectTest(xsi, long, nil); !got.Equal(lw) {
+								t.Fatalf("X run: scan-in %v: fsim %d, oracle %d", xsi, got.Count(), lw.Count())
+							}
 						}
 					})
 				}

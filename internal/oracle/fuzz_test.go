@@ -66,12 +66,13 @@ func TestFuzzEncodeRoundtrip(t *testing.T) {
 
 // FuzzDifferential cross-checks fsim against the oracle on fuzzer-shaped
 // circuits and tests, in both standard and Potential mode, serial and
-// with a worker pool, and then runs Phase 2 vector omission serially and
-// with a worker pool: the oracle must confirm the compacted test still
-// detects every fault the original did, both runs must produce the
-// byte-identical test, and Removed must equal the drop in length. Any
-// byte string is a valid input; the decoder guarantees a well-formed
-// netlist.
+// with a worker pool, checks the X-run cut replays (fsim.RunX) from the
+// fuzzed scan-in and its complement, and then runs Phase 2 vector
+// omission serially and with a worker pool: the oracle must confirm the
+// compacted test still detects every fault the original did, both runs
+// must produce the byte-identical test, and Removed must equal the drop
+// in length. Any byte string is a valid input; the decoder guarantees a
+// well-formed netlist.
 func FuzzDifferential(f *testing.F) {
 	for _, c := range corpusCircuits() {
 		if data, err := EncodeFuzz(c, corpusTest(c, 6)); err == nil {
@@ -89,6 +90,12 @@ func FuzzDifferential(f *testing.F) {
 		orc := New(c, faults)
 		opot := fault.NewSet(len(faults))
 		want := orc.Detect(tst.Seq, Options{Init: tst.SI, ScanOut: true, Potential: opot})
+		nsWant := orc.Detect(tst.Seq, Options{})
+		notSI := make(logic.Vector, len(tst.SI))
+		for i, v := range tst.SI {
+			notSI[i] = v.Not()
+		}
+		notWant := orc.DetectTest(notSI, tst.Seq, nil)
 		for _, workers := range []int{1, 4} {
 			fs := fsim.New(c, faults).SetWorkers(workers)
 			fpot := fault.NewSet(len(faults))
@@ -103,6 +110,21 @@ func FuzzDifferential(f *testing.F) {
 			}
 			if got := fs.Detect(tst.Seq, fsim.Options{Init: tst.SI, ScanOut: true}); !got.Equal(want) {
 				t.Fatalf("workers=%d: standard-mode set differs", workers)
+			}
+			// X-run arm: the replay cut at the all-X sync points must
+			// match the oracle from the fuzzed scan-in and from its
+			// complement.
+			xr := fs.RunX(tst.Seq)
+			if got := xr.Detected(); !got.Equal(nsWant) {
+				t.Fatalf("workers=%d: X run: all-X sets differ: fsim %v, oracle %v",
+					workers, got.Indices(), nsWant.Indices())
+			}
+			if got := xr.DetectTest(tst.SI, nil); !got.Equal(want) {
+				t.Fatalf("workers=%d: X run: fsim %v, oracle %v", workers, got.Indices(), want.Indices())
+			}
+			if got := xr.DetectTest(notSI, nil); !got.Equal(notWant) {
+				t.Fatalf("workers=%d: X run from the complement: fsim %v, oracle %v",
+					workers, got.Indices(), notWant.Indices())
 			}
 		}
 
