@@ -95,24 +95,6 @@ func Order(scores, tie []int) []int {
 	return perm
 }
 
-// ReorderByCounts incrementally re-ranks an existing simulation order
-// from a detection ledger's live per-fault counts (fsim.Ledger.Counts):
-// faults detected by many tests of the evolving set move to the front,
-// where fault dropping and the per-pass early exit shed them fastest.
-// The sort is stable over prev, so the original ADI rank remains the
-// tie-break, and the result is again a permutation of the full fault
-// list — like Order, it is a pure pass-packing hint and leaves every
-// detection result bit-identical. This replaces fresh random sampling
-// when detection counts are already on hand (the compaction engines
-// re-rank between combining rounds as dropping shrinks the live set).
-func ReorderByCounts(prev, counts []int) []int {
-	perm := append([]int(nil), prev...)
-	sort.SliceStable(perm, func(a, b int) bool {
-		return counts[perm[a]] > counts[perm[b]]
-	})
-	return perm
-}
-
 // Install computes ADI scores for s's fault list, breaks ties with the
 // structural dominator degree, and installs the resulting order on s. It
 // returns the installed permutation. The sampling runs on s itself, so

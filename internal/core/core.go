@@ -204,7 +204,7 @@ func Run(s *fsim.Simulator, C []atpg.CombTest, T0 logic.Sequence, opt Options) (
 		// Step 1: F_0 = faults detected by the sequence without scan. The
 		// all-X run also records where each fault's machine synchronizes,
 		// which cuts every scan-in replay of cur in Step 2 short.
-		xr := s.RunX(cur)
+		xr := s.RunX(cur, nil)
 		f0 := xr.Detected()
 		if iter == 0 {
 			res.T0Len = len(cur)

@@ -372,6 +372,8 @@ type runSpec struct {
 	rec     *Record      // detection-record target, or nil (see record.go)
 	xrec    *XRun        // all-X run recording sync points (RunX), or nil
 	xcut    *XRun        // scan-in replay cut at its all-X sync points, or nil
+	fill    *Prefix      // prefix pass recording end states (Prefix.Fill), or nil
+	from    *Prefix      // run continuing a prefix from its end states, or nil
 	abort   *atomic.Bool // cross-pass abort for must-detect checks, or nil
 	repack  bool         // survivor repacking enabled (see run)
 }
@@ -476,18 +478,19 @@ func (s *Simulator) run(seq logic.Sequence, opt Options, detected *fault.Set, rs
 	spec := &rs
 	abort := spec.abort
 	spec.seq, spec.init, spec.scanOut = seq, opt.Init, opt.ScanOut
-	// Recording (rec, xrec) deliberately keeps repacking on: the recorded
-	// per-fault data is packing-independent, and survivors of an aborted
-	// pass are re-simulated from scratch, so the generation that finishes
-	// them writes their entries (an X-run sync point may be rewritten,
-	// with the same value).
+	// Recording (rec, xrec, fill) deliberately keeps repacking on: the
+	// recorded per-fault data is packing-independent, and survivors of an
+	// aborted pass are re-simulated from scratch, so the generation that
+	// finishes them writes their entries (an X-run sync point may be
+	// rewritten, with the same value).
 	spec.repack = abort == nil && spec.profile == nil && opt.Potential == nil && len(seq) > 1
 
 	bs := 64*s.effWidth(len(targets)) - 1
 	cache := s.traceCacheRef()
-	// The X-run passes keep the good machine in slot 0: RunX reads its
-	// flip-flops, and a cut replay would not pay for a full trace.
-	if len(seq) > 0 && spec.xrec == nil && spec.xcut == nil {
+	// The X-run and prefix passes keep the good machine in slot 0: RunX
+	// and Prefix.Fill read its flip-flops, a cut replay would not pay for
+	// a full trace, and a run from a prefix does not start at a scan-in.
+	if len(seq) > 0 && spec.xrec == nil && spec.xcut == nil && spec.fill == nil && spec.from == nil {
 		tr, repeat := cache.lookup(opt.Init, seq)
 		switch {
 		case tr != nil:
@@ -641,7 +644,10 @@ func undetectedOf(batch []int, slot0 uint, det func(bit uint) bool) []int {
 // records each fault's sync point and final scan-out diff; a scan-in
 // replay of XRun.DetectTest (spec.xcut) stops at the batch's sync
 // horizon and takes the scan-out compare from the all-X run (see
-// xrun.go). It returns the number of input vectors
+// xrun.go). A prefix pass (spec.fill) records each fault's end state; a
+// run from a prefix (spec.from) starts each slot from its fault's end
+// state instead of the scan-in (see prefix.go). It returns the number
+// of input vectors
 // actually executed, plus the undetected survivors when the pass
 // repacked (see run).
 func (wk *worker) runBatchVec(batch []int, spec *runSpec, width int, detected, potential *fault.Set) (int, []int) {
@@ -698,7 +704,11 @@ func (wk *worker) runBatchVec(batch []int, spec *runSpec, width int, detected, p
 		copy(unsynced, batchMask)
 	}
 
-	s.scanIn(eng, spec.init)
+	if spec.from != nil {
+		spec.from.load(eng, batch)
+	} else {
+		s.scanIn(eng, spec.init)
+	}
 
 	profile := spec.profile
 	for u, vec := range spec.seq[:n] {
@@ -769,6 +779,8 @@ func (wk *worker) runBatchVec(batch []int, spec *runSpec, width int, detected, p
 		}
 	}
 	switch {
+	case spec.fill != nil:
+		spec.fill.markEnd(eng, batch, batchMask, detMask)
 	case spec.xrec != nil:
 		spec.xrec.markScanOut(eng, batch, diff)
 	case spec.xcut != nil && n < len(spec.seq):

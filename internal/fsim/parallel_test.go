@@ -120,7 +120,7 @@ func TestConcurrentUse(t *testing.T) {
 	s.SetWorkers(4)
 	ref := New(s.Circuit(), faults).DetectTest(si, seq, nil)
 	refNoScan := New(s.Circuit(), faults).Detect(seq, Options{Init: si})
-	x := s.RunX(seq)
+	x := s.RunX(seq, nil)
 
 	var wg sync.WaitGroup
 	errs := make(chan string, 32)

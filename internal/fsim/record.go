@@ -201,9 +201,7 @@ func (s *Simulator) RecordMustInto(buf *Record, seq logic.Sequence, opt Options,
 // test set: row i is the Record of test i (nil for a dropped or
 // not-yet-graded test), and counts[f] tracks how many live rows detect
 // fault f. The compaction engines keep it consistent as tests are
-// combined and dropped, and the ADI reorder policy re-ranks the
-// simulation order from the counts instead of fresh sampling
-// (adi.ReorderByCounts).
+// combined and dropped, and read their risk sets off the counts.
 //
 // Invariants (see DESIGN.md §11): rows are complete over their credit
 // universe — a row's detected set is exactly what the test detects among

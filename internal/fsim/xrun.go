@@ -30,20 +30,23 @@ type XRun struct {
 	det *fault.Set // PO detections of the all-X run
 	// until[f] is the number of vectors a scan-in replay must run for f
 	// (its sync point plus one); len(seq) when f's machine never
-	// synchronized or its all-X pass did not finish. so[f] records a
-	// definite difference at an observed flip-flop after the last clock
-	// of the all-X run. Each entry is written only by the pass carrying
-	// f, so workers need no merge.
+	// synchronized, its all-X pass did not finish, or f was not a target
+	// of the run. so[f] records a definite difference at an observed
+	// flip-flop after the last clock of the all-X run. Each entry is
+	// written only by the pass carrying f, so workers need no merge.
 	until []int32
 	so    []bool
 }
 
-// RunX fault-simulates seq without scan from the all-X power-up state,
-// like Detect(seq, Options{}), and keeps what XRun.DetectTest needs to
-// cut later scan-in replays of seq short. Its passes carry the good
-// machine in slot 0 and bypass the trace cache, as do the cut replays of
-// DetectTest, so batch fault bi always sits in slot bi+1.
-func (s *Simulator) RunX(seq logic.Sequence) *XRun {
+// RunX fault-simulates seq over targets (nil = every fault) without
+// scan from the all-X power-up state, like Detect(seq, Options{Targets:
+// targets}), and keeps what XRun.DetectTest needs to cut later scan-in
+// replays of seq short. Faults outside targets keep until = len(seq):
+// replays of them run the whole sequence, so the cut stays exact for
+// any target set. Its passes carry the good machine in slot 0 and
+// bypass the trace cache, as do the cut replays of DetectTest, so batch
+// fault bi always sits in slot bi+1.
+func (s *Simulator) RunX(seq logic.Sequence, targets *fault.Set) *XRun {
 	n := len(s.faults)
 	x := &XRun{
 		s:     s,
@@ -55,13 +58,13 @@ func (s *Simulator) RunX(seq logic.Sequence) *XRun {
 	for i := range x.until {
 		x.until[i] = int32(len(seq))
 	}
-	s.run(x.seq, Options{}, x.det, runSpec{xrec: x})
+	s.run(x.seq, Options{Targets: targets}, x.det, runSpec{xrec: x})
 	return x
 }
 
-// Detected returns the faults the all-X run detects: the same set as
-// Detect(seq, Options{}). The set is owned by x; callers must not modify
-// it.
+// Detected returns the targets the all-X run detects: the same set as
+// Detect(seq, Options{Targets: targets}). The set is owned by x; callers
+// must not modify it.
 func (x *XRun) Detected() *fault.Set { return x.det }
 
 // DetectTest returns DetectTest(si, seq, targets) for x's sequence: the

@@ -76,7 +76,7 @@ func TestXRunDetectedMatchesDetect(t *testing.T) {
 		for _, words := range []int{1, 2, 4} {
 			for _, workers := range []int{1, 4} {
 				s := xc.sim().SetBatchWords(words).SetWorkers(workers)
-				if got := s.RunX(xc.seq).Detected(); !got.Equal(want) {
+				if got := s.RunX(xc.seq, nil).Detected(); !got.Equal(want) {
 					t.Errorf("%s words=%d workers=%d: RunX detects %d faults, Detect %d",
 						xc.name, words, workers, got.Count(), want.Count())
 				}
@@ -121,7 +121,7 @@ func TestXRunDetectTestMatchesReplay(t *testing.T) {
 		for _, words := range []int{1, 2, 4} {
 			for _, workers := range []int{1, 4} {
 				s := xc.sim().SetBatchWords(words).SetWorkers(workers)
-				x := s.RunX(xc.seq)
+				x := s.RunX(xc.seq, nil)
 				s.ResetStats()
 				for i, si := range sis {
 					for ti, tg := range targetSets {
@@ -155,7 +155,7 @@ func TestXRunNeverSynchronizes(t *testing.T) {
 	seq := randomSeq(rand.New(rand.NewSource(5)), c.NumPIs(), 12)
 	for _, words := range []int{1, 4} {
 		s := New(c, faults).SetBatchWords(words)
-		x := s.RunX(seq)
+		x := s.RunX(seq, nil)
 		if x.Detected().Count() != 0 {
 			t.Fatalf("words=%d: the all-X run of a toggle detects %v", words, x.Detected().Indices())
 		}
@@ -190,7 +190,7 @@ func TestXRunNeverSynchronizes(t *testing.T) {
 func TestXRunEmptySequence(t *testing.T) {
 	c := samples.S27()
 	faults := fault.Collapse(c)
-	x := New(c, faults).RunX(nil)
+	x := New(c, faults).RunX(nil, nil)
 	for _, si := range []logic.Vector{vec("000"), vec("101"), nil} {
 		want := New(c, faults).DetectTest(si, nil, nil)
 		if got := x.DetectTest(si, nil); !got.Equal(want) {
@@ -220,7 +220,7 @@ func TestXRunSyncNeedsEveryFlipFlop(t *testing.T) {
 		t.Fatal(err)
 	}
 	seq := logic.Sequence{vec("0"), vec("0"), vec("0"), vec("0")}
-	x := NewChain(c, faults, ch).RunX(seq)
+	x := NewChain(c, faults, ch).RunX(seq, nil)
 	want := NewChain(c, faults, ch).DetectTest(vec("1"), seq, nil)
 	if want.Count() == 0 {
 		t.Fatal("fixture detects nothing from p = 1")

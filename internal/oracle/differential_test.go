@@ -9,6 +9,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/fsim"
 	"repro/internal/gen"
+	"repro/internal/logic"
 	"repro/internal/scan"
 )
 
@@ -24,7 +25,9 @@ var sweepCircuits = []string{"b01", "b02", "b06", "s298", "s344"}
 // graded three times with the same key so the fsim trace cache walks its
 // miss → repeat-miss (trace computed) → hit path; the sets must not
 // change across repetitions. An X-run arm checks the cut scan-in
-// replays of fsim.XRun against the oracle over random scan-ins.
+// replays of fsim.XRun against the oracle over random scan-ins, and a
+// checkpointed-trial arm checks fsim.DetectsAllAfter on a random pair
+// (SI_i, T_i·T_j) of a small test pool (see checkAfter).
 func TestDifferentialSweep(t *testing.T) {
 	for _, name := range sweepCircuits {
 		c, ok := gen.RosterCircuit(name)
@@ -87,12 +90,12 @@ func TestDifferentialSweep(t *testing.T) {
 						// at the all-X sync points, on the sweep sequence and
 						// on a longer binary one that lets most machines
 						// synchronize before its end, over random scan-ins.
-						xr := fs.RunX(seq)
+						xr := fs.RunX(seq, nil)
 						if !xr.Detected().Equal(nsWant) || !xr.DetectTest(si, nil).Equal(want) {
 							t.Fatal("X run: sets differ from the oracle on the sweep sequence")
 						}
 						long := randSeq(r, 24, c.NumPIs(), false)
-						xr = fs.RunX(long)
+						xr = fs.RunX(long, nil)
 						if lw := orc.Detect(long, Options{}); !xr.Detected().Equal(lw) {
 							t.Fatalf("X run: all-X sets differ: fsim %d, oracle %d", xr.Detected().Count(), lw.Count())
 						}
@@ -102,8 +105,70 @@ func TestDifferentialSweep(t *testing.T) {
 								t.Fatalf("X run: scan-in %v: fsim %d, oracle %d", xsi, got.Count(), lw.Count())
 							}
 						}
+
+						// Checkpointed-trial arm (the combination trials of
+						// [4]): (SI_i, T_i·T_j) for a random pair of a small
+						// test pool, continued from a checkpoint of τ_i.
+						pool := []scan.Test{
+							{SI: si, Seq: seq},
+							{SI: randVec(r, orc.Nsv(), false), Seq: long},
+							{SI: randVec(r, orc.Nsv(), true), Seq: randSeq(r, 3, c.NumPIs(), true)},
+						}
+						i := r.Intn(len(pool))
+						j := (i + 1 + r.Intn(len(pool)-1)) % len(pool)
+						checkAfter(t, fs, orc, r, pool[i].SI, pool[i].Seq, pool[j].Seq)
 					})
 				}
+			}
+		}
+	}
+}
+
+// checkAfter checks fsim's checkpointed combination trial against the
+// oracle's full replay of the scan test (si, pre·suf): DetectsAllAfter
+// from a checkpoint of (si, pre) must answer every single-fault must set
+// as the oracle does, accept a random subset of the oracle's detections
+// and reject that subset plus one undetected fault — without an X run of
+// suf, with a full one, and with one targeted at the even-indexed faults
+// (the odd ones then replay the whole suffix).
+func checkAfter(t *testing.T, fs *fsim.Simulator, orc *Sim, r *rand.Rand, si logic.Vector, pre, suf logic.Sequence) {
+	t.Helper()
+	nf := len(orc.Faults())
+	want := orc.DetectTest(si, append(pre.Clone(), suf.Clone()...), nil)
+	even := fault.NewSet(nf)
+	for f := 0; f < nf; f += 2 {
+		even.Add(f)
+	}
+	var undetected []int
+	for f := 0; f < nf; f++ {
+		if !want.Has(f) {
+			undetected = append(undetected, f)
+		}
+	}
+	p := fs.NewPrefix(si, pre)
+	one := fault.NewSet(nf)
+	for xi, x := range []*fsim.XRun{nil, fs.RunX(suf, nil), fs.RunX(suf, even)} {
+		for f := 0; f < nf; f++ {
+			one.Clear()
+			one.Add(f)
+			if got := fs.DetectsAllAfter(p, suf, x, one); got != want.Has(f) {
+				t.Fatalf("checkpointed trial, X run #%d, |T_i|=%d |T_j|=%d: fault %d detected %v, oracle %v",
+					xi, len(pre), len(suf), f, got, want.Has(f))
+			}
+		}
+		must := fault.NewSet(nf)
+		want.ForEach(func(f int) {
+			if r.Intn(2) == 0 {
+				must.Add(f)
+			}
+		})
+		if !fs.DetectsAllAfter(p, suf, x, must) {
+			t.Fatalf("checkpointed trial, X run #%d: rejects a subset of the oracle's detections", xi)
+		}
+		if len(undetected) > 0 {
+			must.Add(undetected[r.Intn(len(undetected))])
+			if fs.DetectsAllAfter(p, suf, x, must) {
+				t.Fatalf("checkpointed trial, X run #%d: accepts an undetected fault", xi)
 			}
 		}
 	}

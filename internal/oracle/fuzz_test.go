@@ -1,6 +1,7 @@
 package oracle
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/circuit"
@@ -67,7 +68,9 @@ func TestFuzzEncodeRoundtrip(t *testing.T) {
 // FuzzDifferential cross-checks fsim against the oracle on fuzzer-shaped
 // circuits and tests, in both standard and Potential mode, serial and
 // with a worker pool, checks the X-run cut replays (fsim.RunX) from the
-// fuzzed scan-in and its complement, and then runs Phase 2 vector
+// fuzzed scan-in and its complement and the checkpointed combination
+// trials (fsim.DetectsAllAfter) on the two halves of the fuzzed
+// sequence, and then runs Phase 2 vector
 // omission serially and with a worker pool: the oracle must confirm the
 // compacted test still detects every fault the original did, both runs
 // must produce the byte-identical test, and Removed must equal the drop
@@ -114,7 +117,7 @@ func FuzzDifferential(f *testing.F) {
 			// X-run arm: the replay cut at the all-X sync points must
 			// match the oracle from the fuzzed scan-in and from its
 			// complement.
-			xr := fs.RunX(tst.Seq)
+			xr := fs.RunX(tst.Seq, nil)
 			if got := xr.Detected(); !got.Equal(nsWant) {
 				t.Fatalf("workers=%d: X run: all-X sets differ: fsim %v, oracle %v",
 					workers, got.Indices(), nsWant.Indices())
@@ -125,6 +128,14 @@ func FuzzDifferential(f *testing.F) {
 			if got := xr.DetectTest(notSI, nil); !got.Equal(notWant) {
 				t.Fatalf("workers=%d: X run from the complement: fsim %v, oracle %v",
 					workers, got.Indices(), notWant.Indices())
+			}
+			// Checkpointed-trial arm: split the fuzzed sequence into two
+			// tests and combine them both ways, from the fuzzed scan-in
+			// and from its complement.
+			if k := (len(tst.Seq) + 1) / 2; k < len(tst.Seq) {
+				r := rand.New(rand.NewSource(int64(len(data))))
+				checkAfter(t, fs, orc, r, tst.SI, tst.Seq[:k], tst.Seq[k:])
+				checkAfter(t, fs, orc, r, notSI, tst.Seq[k:], tst.Seq[:k])
 			}
 		}
 

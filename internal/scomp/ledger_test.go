@@ -19,8 +19,9 @@ import (
 )
 
 // ledgerFixture builds a pool of short random scan tests over a circuit
-// large enough to give the combiner real work.
-func ledgerFixture(tb testing.TB, seed int64, ntests int) (*gen.Params, *scan.Set) {
+// large enough to give the combiner real work. With long set, test
+// lengths are drawn uniformly from 1 to 12 vectors instead.
+func ledgerFixture(tb testing.TB, seed int64, ntests int, long bool) (*gen.Params, *scan.Set) {
 	tb.Helper()
 	p := gen.Params{Name: "sl", Seed: 21, PIs: 4, POs: 4, FFs: 8, Gates: 100}
 	c := gen.MustGenerate(p)
@@ -31,7 +32,12 @@ func ledgerFixture(tb testing.TB, seed int64, ntests int) (*gen.Params, *scan.Se
 		for i := range t.SI {
 			t.SI[i] = logic.Value(r.Intn(2))
 		}
-		for u := 0; u < 1+r.Intn(2); u++ {
+		more := func(u int) bool { return u < 1+r.Intn(2) } // redrawn per vector
+		if long {
+			n := 1 + r.Intn(12)
+			more = func(u int) bool { return u < n }
+		}
+		for u := 0; more(u); u++ {
 			v := make(logic.Vector, c.NumPIs())
 			for i := range v {
 				v[i] = logic.Value(r.Intn(2))
@@ -50,7 +56,7 @@ var update = flag.Bool("update", false, "rewrite the testdata golden files")
 
 // TestLedgerEquivalence is the scomp arm of the byte-identity contract:
 // the ledger engine — at any worker count, with and without transfer
-// sequences and with the simulation order re-ranked between rounds —
+// sequences and with and without an ADI simulation order installed —
 // combines exactly the pairs recorded in the golden file, in the same
 // order, producing an identical test set and identical committed-trial
 // counts. Every returned ledger is re-verified against a fresh
@@ -61,7 +67,7 @@ func TestLedgerEquivalence(t *testing.T) {
 		var sb strings.Builder
 		for _, seed := range []int64{5, 11} {
 			for _, xferLen := range []int{0, 3} {
-				p, ts := ledgerFixture(t, seed, 12)
+				p, ts := ledgerFixture(t, seed, 12, false)
 				c := gen.MustGenerate(*p)
 				faults := fault.Collapse(c)
 				name := fmt.Sprintf("seed=%d xfer=%d", seed, xferLen)
@@ -146,7 +152,7 @@ func verifyLedger(t *testing.T, name string, c *circuit.Circuit, faults []fault.
 // pre-computed records changes nothing: the seeded run must produce the
 // same set and the same stats as the self-grading run.
 func TestLedgerInitialRecords(t *testing.T) {
-	p, ts := ledgerFixture(t, 9, 10)
+	p, ts := ledgerFixture(t, 9, 10, false)
 	c := gen.MustGenerate(*p)
 	faults := fault.Collapse(c)
 
@@ -173,5 +179,60 @@ func TestLedgerInitialRecords(t *testing.T) {
 		if !led.Row(k).Detected().Equal(refLed.Row(k).Detected()) {
 			t.Fatalf("seeded run ledger row %d differs", k)
 		}
+	}
+}
+
+// TestLedgerLongTests runs the combiner on tests long enough that its
+// trials take both checkpoint cuts: the prefix of τ_i and the all-X run
+// of τ_j, which is kept for suffixes of minXRunLen vectors or more. At
+// 1 and 4 workers the runs must agree byte for byte, the ledger must
+// verify against a fresh simulator and no initially covered fault may
+// be lost; some combinations must be accepted through a simulated
+// trial, since those end the life of a checkpoint.
+func TestLedgerLongTests(t *testing.T) {
+	simulated := 0
+	for _, fx := range []struct {
+		seed   int64
+		ntests int
+	}{{1, 10}, {4, 20}, {8, 10}} {
+		p, ts := ledgerFixture(t, fx.seed, fx.ntests, true)
+		c := gen.MustGenerate(*p)
+		faults := fault.Collapse(c)
+		ref := fsim.New(c, faults)
+		required := fault.NewSet(len(faults))
+		long := 0
+		for _, tst := range ts.Tests {
+			required.UnionWith(ref.DetectTest(tst.SI, tst.Seq, nil))
+			if len(tst.Seq) >= minXRunLen {
+				long++
+			}
+		}
+		if long < 2 {
+			t.Fatalf("seed=%d: fixture has %d tests of %d or more vectors", fx.seed, long, minXRunLen)
+		}
+		var first string
+		for _, workers := range []int{1, 4} {
+			s := fsim.New(c, faults).SetWorkers(workers)
+			out, led, st := CompactWithLedger(s, ts, Options{})
+			name := fmt.Sprintf("seed=%d workers=%d", fx.seed, workers)
+			verifyLedger(t, name, c, faults, out, led)
+			after := fault.NewSet(len(faults))
+			for _, tst := range out.Tests {
+				after.UnionWith(ref.DetectTest(tst.SI, tst.Seq, nil))
+			}
+			if !after.ContainsAll(required) {
+				t.Fatalf("%s: combining lost coverage", name)
+			}
+			got := fmt.Sprintf("%+v\n%s", st, scan.WriteSetString(out))
+			if workers == 1 {
+				first = got
+				simulated += st.Combined - st.ShortCircuits
+			} else if got != first {
+				t.Fatalf("%s: output differs from workers=1", name)
+			}
+		}
+	}
+	if simulated == 0 {
+		t.Fatal("no combination was accepted through a simulated trial")
 	}
 }

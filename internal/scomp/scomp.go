@@ -23,8 +23,19 @@
 // without such a detection (scan-out-only, or detected solely by τ_j)
 // need simulation, and a trial whose risk set is fully carried commits
 // with no simulation at all. Accepted combinations refresh the ledger
-// row from the trial's own records, and between rounds the simulation
-// order is re-ranked from the live ledger counts (adi.ReorderByCounts).
+// row from the trial's own records.
+//
+// A simulated trial replays only what differs between trials. The
+// outer τ_i changes only on an accept, so its prefix (SI_i, T_i) is
+// simulated once into an fsim.Prefix checkpoint that holds each fault's
+// state after T_i, and every trial (i, j) simulates T_j alone from it.
+// A long τ_j (minXRunLen vectors or more) also keeps its all-X run
+// (fsim.RunX), which stops each trial's T_j replay for a fault once
+// that run has every flip-flop binary in both the good machine and the
+// fault's machine. Both cuts are exact (DESIGN.md §8). The checkpoint
+// lives while i stays the outer test and is dropped when i advances or
+// τ_i changes; an all-X run lives until τ_j changes or dies.
+//
 // The accepted combinations and the output sets are pinned by golden
 // files frozen from the retired pre-ledger engine (ledger_test.go) and
 // re-checked against the reference simulator (oracle_test.go).
@@ -33,7 +44,6 @@ package scomp
 import (
 	"math/rand"
 
-	"repro/internal/adi"
 	"repro/internal/fault"
 	"repro/internal/fsim"
 	"repro/internal/logic"
@@ -191,6 +201,13 @@ func CompactWithLedger(s *fsim.Simulator, ts *scan.Set, opt Options) (*scan.Set,
 		})
 	}
 
+	// Trial checkpoints (see DESIGN.md §8): pre is the prefix (SI_i, T_i)
+	// of the current outer test, created on its first simulated trial and
+	// dropped when i advances or τ_i changes; xr[j] is the all-X run of a
+	// long τ_j, built on first use and dropped when τ_j changes or dies.
+	var pre *fsim.Prefix
+	xr := make([]*fsim.XRun, n)
+
 	// accept replaces τ_i with the combination and kills τ_j, refreshing
 	// the ledger row: PO detections of the old τ_i carry over verbatim,
 	// the trial's must-detect record covers the simulated risk faults,
@@ -221,50 +238,70 @@ func CompactWithLedger(s *fsim.Simulator, ts *scan.Set, opt Options) (*scan.Set,
 		rebuckets()
 		tests[i] = combined
 		alive[j] = false
+		pre, xr[i], xr[j] = nil, nil, nil
 		st.Combined++
 	}
 
-	// Between rounds, re-rank the installed simulation order from the
-	// live ledger counts: result-neutral pass packing (see adi).
-	entryOrder := s.Order()
-	defer s.SetOrder(entryOrder)
+	// trial reports whether (SI_i, T_i·T_j) detects every fault of
+	// mustSim, simulating T_j alone from the prefix checkpoint.
+	trial := func(i, j int) bool {
+		if pre == nil {
+			// Fill the checkpoint with every fault some j could put into
+			// mustSim: risk ⊆ C1 ∪ (C2 ∩ d_i), minus the carried PO
+			// detections of τ_i.
+			pre = s.NewPrefix(tests[i].SI, tests[i].Seq)
+			rowi := led.Row(i)
+			tmp.CopyFrom(c2)
+			tmp.IntersectWith(rowi.Detected())
+			tmp.UnionWith(c1)
+			tmp.ForEach(func(f int) {
+				if rowi.PODetected(f) {
+					tmp.Remove(f)
+				}
+			})
+			pre.Fill(tmp)
+		}
+		if xr[j] == nil && len(tests[j].Seq) >= minXRunLen {
+			tmp.CopyFrom(c2)
+			tmp.IntersectWith(led.Row(j).Detected())
+			tmp.UnionWith(c1)
+			xr[j] = s.RunX(tests[j].Seq, tmp)
+		}
+		return s.DetectsAllAfter(pre, tests[j].Seq, xr[j], mustSim)
+	}
 
 	for {
 		st.Rounds++
-		if entryOrder != nil && st.Rounds > 1 {
-			s.SetOrder(adi.ReorderByCounts(s.Order(), count))
-		}
 		changed := false
 		for i := 0; i < n; i++ {
 			if !alive[i] {
 				continue
 			}
+			pre = nil
 			for j := 0; j < n; j++ {
 				if i == j || !alive[j] {
 					continue
 				}
 				trialRisk(i, j)
-				combined := scan.Test{
-					SI:  tests[i].SI.Clone(),
-					Seq: append(tests[i].Seq.Clone(), tests[j].Seq.Clone()...),
-				}
-				sopt := fsim.Options{Init: combined.SI, ScanOut: true}
 				st.Attempts++
+				var combined scan.Test
 				var recMust *fsim.Record
 				hit := false
 				switch {
 				case mustSim.Count() == 0:
 					// The ledger proves the trial accepted.
 					st.ShortCircuits++
+					combined = combine(tests[i], nil, tests[j])
 					hit = true
-				case s.DetectsAll(combined.Seq, sopt, mustSim):
+				case trial(i, j):
 					// The trial check is allocation-free (almost all
 					// trials are rejected); re-simulate the must set once,
 					// now that the combination commits, to rebuild the
-					// ledger row. DetectsAll succeeded on the identical
-					// input, so this cannot fail.
+					// ledger row. The check is exact, so this cannot fail.
 					st.FaultsSimulated += 2 * mustSim.Count()
-					recMust, _ = s.RecordMust(combined.Seq, sopt, mustSim)
+					combined = combine(tests[i], nil, tests[j])
+					recMust, _ = s.RecordMust(combined.Seq,
+						fsim.Options{Init: combined.SI, ScanOut: true}, mustSim)
 					hit = true
 				default:
 					st.FaultsSimulated += mustSim.Count()
@@ -279,11 +316,7 @@ func CompactWithLedger(s *fsim.Simulator, ts *scan.Set, opt Options) (*scan.Set,
 					if xfer == nil {
 						break
 					}
-					withX := scan.Test{
-						SI: tests[i].SI.Clone(),
-						Seq: append(append(tests[i].Seq.Clone(), xfer...),
-							tests[j].Seq.Clone()...),
-					}
+					withX := combine(tests[i], xfer, tests[j])
 					st.Attempts++
 					st.FaultsSimulated += mustSim.Count()
 					if rec2, ok := s.RecordMust(withX.Seq,
@@ -318,6 +351,22 @@ func CompactWithLedger(s *fsim.Simulator, ts *scan.Set, opt Options) (*scan.Set,
 		}
 	}
 	return out, outLed, st
+}
+
+// minXRunLen is the shortest τ_j whose all-X run is kept for the sync
+// cut of its trials: on shorter suffixes the run costs more than the
+// vectors it saves.
+const minXRunLen = 8
+
+// combine returns the test (SI_i, T_i·xfer·T_j) as a fresh copy.
+func combine(ti scan.Test, xfer logic.Sequence, tj scan.Test) scan.Test {
+	seq := make(logic.Sequence, 0, len(ti.Seq)+len(xfer)+len(tj.Seq))
+	for _, part := range []logic.Sequence{ti.Seq, xfer, tj.Seq} {
+		for _, v := range part {
+			seq = append(seq, v.Clone())
+		}
+	}
+	return scan.Test{SI: ti.SI.Clone(), Seq: seq}
 }
 
 // transferSequence greedily builds a sequence of at most opt.TransferLen

@@ -300,6 +300,14 @@ func (e *BatchEngine) SetStateValue(i int, v logic.Value) {
 	e.slot(e.c.DFFs[i]).Fill(logic.FromValue(v))
 }
 
+// SetStateSlot sets the i-th flip-flop (scan order) to v in slot k
+// alone (0 <= k < 64*Width), leaving every other slot as it was: the
+// per-slot counterpart of SetStateValue, for starting each slot of a
+// batch from its own state.
+func (e *BatchEngine) SetStateSlot(i, k int, v logic.Value) {
+	e.slot(e.c.DFFs[i]).Set(k, v)
+}
+
 // SetNodeVec copies wv (up to the active width) into node n's slots —
 // the batch analogue of Engine.SetNode, for driving arbitrary per-slot
 // patterns in tests.

@@ -236,6 +236,71 @@ func TestKernelSetWidth(t *testing.T) {
 	be.SetWidth(9)
 }
 
+// TestKernelSetStateSlot checks per-slot state loading: a batch whose
+// slots start from different states, loaded one slot at a time with
+// SetStateSlot, must equal, slot for slot, separate passes that
+// broadcast each state with SetStateVector — under the same injections
+// (stuck flip-flops included, which re-force over the loaded values)
+// and the same X-bearing inputs, at every node after every evaluation
+// and clock.
+func TestKernelSetStateSlot(t *testing.T) {
+	for _, c := range kernelTestCircuits(t) {
+		if c.NumFFs() == 0 {
+			continue
+		}
+		p := Compile(c)
+		for _, w := range []int{1, 2, 4} {
+			r := rand.New(rand.NewSource(int64(17*w) + int64(c.NumNodes())))
+			states := make([]logic.Vector, 3)
+			for s := range states {
+				states[s] = randXVector(r, c.NumFFs())
+			}
+			pick := make([]int, 64*w)
+			for k := range pick {
+				pick[k] = r.Intn(len(states))
+			}
+			injs := randInjections(r, c, w, 1+r.Intn(2*w))
+			be := NewBatch(p, w)
+			be.SetInjections(injs)
+			be.SetStateVector(randXVector(r, c.NumFFs())) // overwritten below
+			for k, s := range pick {
+				for ff, v := range states[s] {
+					be.SetStateSlot(ff, k, v)
+				}
+			}
+			refs := make([]*BatchEngine, len(states))
+			for s, st := range states {
+				refs[s] = NewBatch(p, w)
+				refs[s].SetInjections(injs)
+				refs[s].SetStateVector(st)
+			}
+			compare := func(tag string) {
+				t.Helper()
+				for n := 0; n < c.NumNodes(); n++ {
+					for k, s := range pick {
+						if got, want := be.Val(n).Get(k), refs[s].Val(n).Get(k); got != want {
+							t.Fatalf("%s w%d %s: node %d slot %d: per-slot load %v, broadcast %v",
+								c.Name, w, tag, n, k, got, want)
+						}
+					}
+				}
+			}
+			for u := 0; u < 5; u++ {
+				in := randXVector(r, c.NumPIs())
+				for _, e := range append([]*BatchEngine{be}, refs...) {
+					e.SetPIVector(in)
+					e.EvalComb()
+				}
+				compare(fmt.Sprintf("u %d eval", u))
+				for _, e := range append([]*BatchEngine{be}, refs...) {
+					e.ClockFF()
+				}
+				compare(fmt.Sprintf("u %d clock", u))
+			}
+		}
+	}
+}
+
 // TestCompileShape pins the decomposition: every gate lowers to one
 // two-input instruction per fold step, and a purely narrow circuit
 // needs no temporary slots.
